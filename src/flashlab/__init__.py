@@ -57,6 +57,7 @@ from .models import (
     ModelId,
     ModelParams,
     OutcomeDistribution,
+    ensemble,
     outcome_distribution,
     run_local_hv,
     run_preferred_frame,

@@ -25,14 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 from .minkowski import Frame, order_flip_rapidity, region_frame_order
-from .models import InconclusiveRunError, ModelParams, get_runner
+from .models import OUTCOME_CELLS, ModelParams, ensemble
 from .quantum import SettingPair, born_joint
 from .randomness import mix_seed
 from .stats import bonferroni, chi2_gof, chi2_homogeneity
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-
-OUTCOME_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 TEST_NAMES = (
     "qf_agreement",
@@ -64,25 +62,18 @@ class TestResult:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Outcome records for one (model, settings, frame) cell."""
+    """Outcome counts for one (model, settings, frame) cell."""
 
-    records: tuple  # (settings, frame, outcome-or-None, conclusive) per run
+    cell_counts: tuple[int, ...]  # conclusive runs per OUTCOME_CELLS entry
+    n_inconclusive: int
     provenance: dict
 
     @property
     def n(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_inconclusive(self) -> int:
-        return sum(1 for r in self.records if not r[3])
+        return sum(self.cell_counts) + self.n_inconclusive
 
     def counts(self) -> list[int]:
-        tally = dict.fromkeys(OUTCOME_CELLS, 0)
-        for _, _, outcome, ok in self.records:
-            if ok:
-                tally[(outcome.alpha, outcome.beta)] += 1
-        return [tally[c] for c in OUTCOME_CELLS]
+        return list(self.cell_counts)
 
 
 @dataclass(frozen=True)
@@ -175,23 +166,14 @@ def collect_samples(
     model, params: ModelParams, settings, frame: Frame, n: int, master_seed: int
 ) -> SampleSet:
     """Run the model n times with counter-derived seeds."""
-    runner = get_runner(model)
-    pair = settings if isinstance(settings, SettingPair) else SettingPair(*settings)
-    records = []
-    for i in range(n):
-        seed = mix_seed(master_seed, i)
-        try:
-            run = runner(pair, frame, seed, params, record_trace=False)
-            records.append((pair, frame, run.outcome, True))
-        except InconclusiveRunError:
-            records.append((pair, frame, None, False))
+    counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
     provenance = {
         "model": getattr(model, "value", str(model)),
         "master_seed": master_seed,
         "n": n,
         "params_digest": params_digest(params),
     }
-    return SampleSet(tuple(records), provenance)
+    return SampleSet(tuple(counts.tolist()), inconclusive, provenance)
 
 
 def _too_many_inconclusive(sample_sets) -> bool:
@@ -370,26 +352,19 @@ def paired_flip_fraction(
     differs.  A model whose outcome function does not read the distant
     setting gives exactly zero flips.
     """
-    runner = get_runner(model)
-    flips = pairs = dropped = 0
-    for i in range(n):
-        seed = mix_seed(master_seed, i)
-        if earlier == "B":
-            s1 = SettingPair(later_settings[0], fixed_setting)
-            s2 = SettingPair(later_settings[1], fixed_setting)
-        else:
-            s1 = SettingPair(fixed_setting, later_settings[0])
-            s2 = SettingPair(fixed_setting, later_settings[1])
-        try:
-            r1 = runner(s1, frame, seed, params, record_trace=False)
-            r2 = runner(s2, frame, seed, params, record_trace=False)
-        except InconclusiveRunError:
-            dropped += 1
-            continue
-        o1 = r1.outcome.beta if earlier == "B" else r1.outcome.alpha
-        o2 = r2.outcome.beta if earlier == "B" else r2.outcome.alpha
-        pairs += 1
-        flips += o1 != o2
+    arms = [
+        (setting, fixed_setting) if earlier == "B" else (fixed_setting, setting)
+        for setting in later_settings
+    ]
+    joint, dropped = ensemble(model, arms, frame, params, n, master_seed)
+    side = 1 if earlier == "B" else 0
+    pairs = int(joint.sum())
+    flips = sum(
+        int(joint[i, j])
+        for i, c1 in enumerate(OUTCOME_CELLS)
+        for j, c2 in enumerate(OUTCOME_CELLS)
+        if c1[side] != c2[side]
+    )
     return {
         "frame": frame,
         "earlier": earlier,

@@ -11,6 +11,7 @@ byte-identical.  Output files are written atomically
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -260,17 +261,26 @@ class RunConfig:
         )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_output(path: Path):
+    """Yield a temporary path beside ``path``, creating the directory; on
+    success move the file written there onto ``path``, else delete it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        yield Path(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_output(path) as tmp:
+        with open(tmp, "w") as fh:
+            fh.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -309,7 +319,8 @@ def cmd_run(cfg: RunConfig) -> int:
                 counts[(run.outcome.alpha, run.outcome.beta)] += 1
                 yield i, run
 
-        write_flash_csv(csv_path, runs())
+        with _atomic_output(csv_path) as tmp:
+            write_flash_csv(tmp, runs())
 
     conclusive = cfg.n - inconclusive
     if conclusive == 0:

@@ -40,11 +40,18 @@ import numpy as np
 
 from .minkowski import Event, Frame, Region, boost_time, regions_spacelike
 from .quantum import Outcome, PureState, SettingPair, singlet
-from .randomness import GeneratorSource, mix_seed
+from .randomness import GeneratorSource, PCG64Streams, mix_seed, mix_seeds
 
 DEFAULT_FLASH_RATE = 5.0
 DEFAULT_REGION_A = Region("A", 0.0, 1.0, -11.0, -10.0)
 DEFAULT_REGION_B = Region("B", 0.0, 1.0, 10.0, 11.0)
+
+# Largest expected flash count per region.  Above it exp(-mean) is no
+# longer a normal double and the Poisson inversion loses its mass.
+MAX_FLASH_MEAN = 708.0
+
+# Joint outcome cells (alpha, beta), in the order every count vector uses.
+OUTCOME_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class ModelId(str, Enum):
@@ -88,8 +95,8 @@ class ModelParams:
     regions: tuple[Region, Region] = (DEFAULT_REGION_A, DEFAULT_REGION_B)
 
     def __post_init__(self):
-        if not self.flash_rate > 0.0:
-            raise ValueError(f"flash_rate must be positive, got {self.flash_rate}")
+        if not 0.0 < self.flash_rate < math.inf:
+            raise ValueError(f"flash_rate must be positive and finite, got {self.flash_rate}")
         if not 0.0 <= self.epsilon <= 0.1:
             raise ValueError(f"epsilon must lie in [0, 0.1], got {self.epsilon}")
         ra, rb = self.regions
@@ -97,6 +104,13 @@ class ModelParams:
             raise ValueError("regions must be given as (A-region, B-region)")
         if not regions_spacelike(ra, rb):
             raise ValueError("regions must be spacelike separated")
+        for region in self.regions:
+            mean = self.flash_rate * (region.t_max - region.t_min)
+            if mean > MAX_FLASH_MEAN:
+                raise ValueError(
+                    f"flash_rate x time span of region {region.label} is {mean:g}; "
+                    f"the Poisson sampler needs at most {MAX_FLASH_MEAN:g}"
+                )
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,11 @@ class OutcomeDistribution:
 
 
 def _poisson_inverse(u: float, mean: float) -> int:
-    """Poisson sample by CDF inversion of a single uniform."""
+    """Poisson sample by CDF inversion of a single uniform.
+
+    The loop also stops once the term underflows to zero, where the partial
+    sum can no longer grow: rounding can leave it below 1 - 1e-15 for ever.
+    """
     k = 0
     p = math.exp(-mean)
     cdf = p
@@ -142,9 +160,28 @@ def _poisson_inverse(u: float, mean: float) -> int:
         k += 1
         p *= mean / k
         cdf += p
-        if p < 1e-18 and cdf >= 1.0 - 1e-15:
+        if p == 0.0 or (p < 1e-18 and cdf >= 1.0 - 1e-15):
             break
     return k
+
+
+def _poisson_cdf_table(mean: float) -> np.ndarray:
+    """The partial sums _poisson_inverse compares u against, up to its break.
+
+    With the same recurrence, ``searchsorted(table, u, side="right")``
+    equals ``_poisson_inverse(u, mean)`` for every u.
+    """
+    k = 0
+    p = math.exp(-mean)
+    cdf = p
+    table = [cdf]
+    while True:
+        k += 1
+        p *= mean / k
+        cdf += p
+        if p == 0.0 or (p < 1e-18 and cdf >= 1.0 - 1e-15):
+            return np.array(table)
+        table.append(cdf)
 
 
 def _lhv_channel(theta: float, lam: float, mechanism: int) -> int:
@@ -412,21 +449,215 @@ def outcome_distribution(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    params = params if params is not None else ModelParams()
-    runner = get_runner(model)
-    pair = _coerce_pair(settings)
-    counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-    inconclusive = 0
-    for i in range(n):
-        try:
-            run = runner(pair, frame, mix_seed(master_seed, i), params, record_trace=False)
-        except InconclusiveRunError:
-            inconclusive += 1
-            continue
-        counts[(run.outcome.alpha, run.outcome.beta)] += 1
+    counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
     if inconclusive == n:
         raise RuntimeError("all runs were inconclusive; no outcome distribution")
-    return OutcomeDistribution(counts, n, inconclusive)
+    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, counts.tolist())), n, inconclusive)
+
+
+def ensemble(
+    model,
+    arms,
+    frame: Frame,
+    params: ModelParams | None = None,
+    n: int = 10_000,
+    master_seed: int = 0,
+) -> tuple[np.ndarray, int]:
+    """Outcome counts of n seeded runs, each run once per settings arm.
+
+    Run i uses seed mix_seed(master_seed, i) under every arm, so arms
+    differ only in their settings.  Returns ``(joint, n_inconclusive)``:
+    ``joint[c_1, ..., c_k]`` counts the runs whose outcome under arm j is
+    ``OUTCOME_CELLS[c_j]``; a run inconclusive under any arm is counted
+    once in ``n_inconclusive`` instead.
+
+    Built-in models go through a vectorized kernel that gives each run
+    the outcome ``_simulate_run`` gives it, in blocks of runs so that
+    memory does not grow with n; a custom runner callable is called run
+    by run.
+    """
+    params = params if params is not None else ModelParams()
+    pairs = [_coerce_pair(s) for s in arms]
+    joint = np.zeros((len(OUTCOME_CELLS),) * len(pairs), dtype=np.int64)
+    inconclusive = 0
+    if callable(model) and not isinstance(model, ModelId):
+        for i in range(n):
+            seed = mix_seed(master_seed, i)
+            try:
+                outcomes = [
+                    model(pair, frame, seed, params, record_trace=False).outcome
+                    for pair in pairs
+                ]
+            except InconclusiveRunError:
+                inconclusive += 1
+                continue
+            joint[tuple(OUTCOME_CELLS.index((o.alpha, o.beta)) for o in outcomes)] += 1
+        return joint, inconclusive
+    model = ModelId(model)
+    for start in range(0, n, _KERNEL_BLOCK):
+        seeds = mix_seeds(master_seed, start, min(n, start + _KERNEL_BLOCK))
+        cells = _kernel_block(model, pairs, frame.rapidity, params, seeds)
+        conclusive = cells[0] >= 0
+        inconclusive += seeds.size - int(np.count_nonzero(conclusive))
+        flat = np.ravel_multi_index(tuple(cells[:, conclusive]), joint.shape)
+        joint += np.bincount(flat, minlength=joint.size).reshape(joint.shape)
+    return joint, inconclusive
+
+
+# --- ensemble kernel ---------------------------------------------------------
+#
+# _kernel_block replays _simulate_run for a block of seeds at once, keeping
+# only the outcome.  Each run's uniforms come from PCG64Streams in the
+# order _simulate_run draws them:
+#
+#   0                 count of region A (nA)
+#   1 .. nA           A times, unsorted;  then nA A positions, in time order
+#   1 + 2nA           count of region B (nB);  then nB times, nB positions
+#   2 + 2(nA + nB)    channel draws in processing order (or lambda and the
+#                     mechanism for local_hv)
+#
+# The collapse uses the same real operations in the same order as the
+# scalar complex arithmetic, so every probability compared against a
+# uniform is the same double.  A run's outcome is fixed once both regions
+# have drawn their first channel, so later draws are never made.
+
+_KERNEL_BLOCK = 4096
+
+
+def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """u[row, columns[row, j]], with columns past the drawn width clipped
+    (those entries belong to runs that never reach them)."""
+    return np.take_along_axis(u, np.minimum(columns, u.shape[1] - 1), axis=1)
+
+
+def _kernel_block(
+    model: ModelId, pairs: list[SettingPair], rapidity: float, params: ModelParams, seeds
+) -> np.ndarray:
+    """Outcome cell of each run under each arm, shape (arms, runs), as an
+    index into OUTCOME_CELLS; -1 marks an inconclusive run."""
+    cells = np.full((len(pairs), seeds.size), -1, dtype=np.intp)
+    streams = PCG64Streams(seeds)
+    u = streams.random(1)
+
+    def draw_to(width: int) -> np.ndarray:
+        return u if width <= u.shape[1] else np.hstack([u, streams.random(width - u.shape[1])])
+
+    ra, rb = params.regions
+    table_a, table_b = (
+        _poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min)) for r in (ra, rb)
+    )
+    n_a = np.searchsorted(table_a, u[:, 0], side="right")
+    u = draw_to(2 + 2 * int(n_a.max()))
+    n_b = np.searchsorted(table_b, u[np.arange(seeds.size), 1 + 2 * n_a], side="right")
+    conclusive = (n_a > 0) & (n_b > 0)
+    if not conclusive.any():
+        return cells
+    base = 2 + 2 * (n_a + n_b)  # first channel draw
+
+    if model is ModelId.LOCAL_HV:
+        u = draw_to(int(base[conclusive].max()) + 2)[conclusive]
+        base = base[conclusive, None]
+        lam = 2.0 * math.pi * _gather(u, base)[:, 0]
+        mech = _gather(u, base + 1)[:, 0] >= 0.5
+        for arm, pair in enumerate(pairs):
+            plus_a = _lhv_plus(pair.a.angle, lam, mech)
+            plus_b = _lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+            cells[arm, conclusive] = 2 * ~plus_a + plus_b
+        return cells
+
+    u = draw_to(int(base[conclusive].max()))
+    ch = math.cosh(rapidity if model is ModelId.RGRWF else 0.0)
+    sh = math.sinh(rapidity if model is ModelId.RGRWF else 0.0)
+    keys = []
+    for region, count, offset in ((ra, n_a, np.ones_like(n_a)), (rb, n_b, 2 + 2 * n_a)):
+        cols = np.arange(int(count.max()))
+        drawn = cols < count[:, None]
+        t = region.t_min + (region.t_max - region.t_min) * _gather(u, offset[:, None] + cols)
+        t = np.sort(np.where(drawn, t, np.inf), axis=1)
+        x = region.x_min + (region.x_max - region.x_min) * _gather(
+            u, (offset + count)[:, None] + cols
+        )
+        keys.append(np.where(drawn, t * ch - x * sh, np.inf))
+    # columns run A 0..nA-1, padding, B 0..nB-1, padding, and padding sorts
+    # last; a stable sort on the frame time then breaks ties by region and
+    # index, the (key, rank, idx) order of _simulate_run
+    order = np.argsort(np.hstack(keys), axis=1, kind="stable")
+    in_a = order < keys[0].shape[1]
+    first_a = np.argmax(in_a, axis=1)
+    first_b = np.argmax(~in_a, axis=1)
+    steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
+    u = draw_to(int((base + steps).max()))
+
+    # conclusive runs sorted by steps, longest first, so that the runs still
+    # collapsing at step k are a prefix of the rows
+    by_steps = np.flatnonzero(conclusive)[np.argsort(-steps[conclusive], kind="stable")]
+    steps = steps[by_steps]
+    width = int(steps[0])
+    side_a = in_a[by_steps, :width]
+    draws = _gather(u[by_steps], base[by_steps, None] + np.arange(width))
+    live = [int(np.count_nonzero(steps > k)) for k in range(width)]
+    first_a, first_b = first_a[by_steps], first_b[by_steps]
+    runs = np.arange(by_steps.size)
+    for arm, pair in enumerate(pairs):
+        plus = _collapse(params, pair, side_a, draws, live)
+        cells[arm, by_steps] = 2 * ~plus[runs, first_a] + ~plus[runs, first_b]
+    return cells
+
+
+def _lhv_plus(theta: float, lam: np.ndarray, mech: np.ndarray) -> np.ndarray:
+    """_lhv_channel(theta, lam, mech) == 1, over runs."""
+    arg = np.where(mech, 2.0 * (theta - lam), theta - lam)
+    value = np.cos(arg)
+    # np.cos may differ from math.cos in the last bit; only a value that
+    # close to zero could change sign, so redo those with math.cos
+    for i in np.flatnonzero(np.abs(value) < 1e-9):
+        value[i] = math.cos(arg[i])
+    return value >= 0.0
+
+
+def _collapse(params, pair, side_a, draws, live) -> np.ndarray:
+    """Channel decisions (True for +1) of the first len(live) processed
+    flashes of each run; rows are sorted so step k touches rows [:live[k]].
+
+    The 2x2 amplitude matrix is held as m[i, j, re/im, run]: a side-A
+    flash contracts rows (f_j = c m[0, j] + s m[1, j]), a side-B flash
+    columns (f_i = m[i, 0] c + m[i, 1] s), and the collapsed matrix is
+    v_i g_j on side A and g_i v_j on side B.
+    """
+    amps = np.asarray(params.state.amplitudes, dtype=complex).reshape(2, 2)
+    m = np.empty((2, 2, 2, draws.shape[0]))
+    m[:, :, 0] = amps.real[..., None]
+    m[:, :, 1] = amps.imag[..., None]
+    eps = params.epsilon
+    half_a, half_b = 0.5 * pair.a.angle, 0.5 * pair.b.angle
+    cos_ab = (math.cos(half_a), math.cos(half_b))
+    sin_ab = (math.sin(half_a), math.sin(half_b))
+    plus = np.zeros(draws.shape, dtype=bool)
+    for k, n_live in enumerate(live):
+        mk = m[..., :n_live]
+        is_a = side_a[:n_live, k]
+        c = np.where(is_a, cos_ab[0], cos_ab[1])
+        s = np.where(is_a, sin_ab[0], sin_ab[1])
+        first = np.where(is_a, mk[0], mk[:, 0])
+        second = np.where(is_a, mk[1], mk[:, 1])
+        f = c * first + s * second
+        sq = f * f
+        p_plus = (sq[0, 0] + sq[0, 1]) + (sq[1, 0] + sq[1, 1])
+        up = draws[:n_live, k] < p_plus
+        plus[:n_live, k] = up
+        v0 = np.where(up, c, -s)
+        v1 = np.where(up, s, c)
+        g = v0 * first + v1 * second
+        outer = np.stack([v0 * g, v1 * g])  # v_i g_j
+        p = np.where(is_a, outer, outer.swapaxes(0, 1))
+        if eps:
+            p += eps * (mk - p)
+        sq = (p * p).reshape(8, n_live)
+        total = sq[0]
+        for term in sq[1:]:
+            total = total + term
+        mk[...] = p / np.sqrt(total)
+    return plus
 
 
 def write_flash_csv(path, runs) -> int:

@@ -107,3 +107,155 @@ class BitSource:
 def random_bits(rng: np.random.Generator, n_bits: int) -> np.ndarray:
     """Draw a fair bit string of length ``n_bits`` as a uint8 0/1 array."""
     return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+
+
+# --- vectorized streams -----------------------------------------------------
+#
+# The ensemble kernel draws the uniforms of thousands of runs at once.  It
+# reproduces, bit for bit, what ``GeneratorSource(seed).uniform`` returns:
+# numpy's SeedSequence (pool size 4) turns the 64-bit seed into four 64-bit
+# words, PCG64 seeds its 128-bit LCG from them, and ``Generator.random``
+# maps each XSL-RR output x to (x >> 11) * 2^-53 (O'Neill, "PCG", 2014;
+# NumPy NEP 19 fixes these streams).  All arithmetic is in uint32/uint64
+# arrays, where numpy wraps modulo the word size exactly as the C code does.
+
+_U32 = np.uint32
+_U64 = np.uint64
+_M32 = _U64(0xFFFFFFFF)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TO_DOUBLE = 1.0 / (1 << 53)
+
+
+def mix_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``[mix_seed(master_seed, i) for i in range(start, stop)]`` as uint64."""
+    z = np.arange(start + 1, stop + 1, dtype=_U64) * _U64(_GOLDEN) + _U64(master_seed & _MASK64)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed).generate_state(4, uint64) for each 64-bit seed.
+
+    A seed below 2^32 is one entropy word and a larger one two; padding
+    with a zero word gives the same pool, so every seed is mixed as two.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & 0xFFFFFFFF
+        value = value * _U32(hash_const)
+        return value ^ (value >> _U32(16))
+
+    def mix(x, y):
+        result = _SS_MIX_L * x - _SS_MIX_R * y
+        return result ^ (result >> _U32(16))
+
+    zero = np.zeros(seeds.shape, dtype=_U32)
+    entropy = ((seeds & _M32).astype(_U32), (seeds >> _U64(32)).astype(_U32), zero, zero)
+    pool = [hashmix(word) for word in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    hash_const = _SS_INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ _U32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & 0xFFFFFFFF
+        value = value * _U32(hash_const)
+        state.append((value ^ (value >> _U32(16))).astype(_U64))
+    # uint32 words little-endian into uint64 words
+    return [state[2 * i] | (state[2 * i + 1] << _U64(32)) for i in range(4)]
+
+
+def _mulhi64(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * b, on 32-bit limbs b = b1 b0."""
+    a0, a1 = a & _M32, a >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _mul128(hi, lo, factor) -> tuple[np.ndarray, np.ndarray]:
+    """Low 128 bits of (hi, lo) * factor, as (hi, lo)."""
+    f_hi, f_lo, f_lo0, f_lo1 = factor
+    return _mulhi64(lo, f_lo0, f_lo1) + lo * f_hi + hi * f_lo, lo * f_lo
+
+
+def _words128(values: list[int]) -> tuple:
+    """128-bit constants as column vectors: hi, lo and the 32-bit limbs of lo."""
+    hi = np.array([v >> 64 for v in values], dtype=_U64)[:, None]
+    lo = np.array([v & _MASK64 for v in values], dtype=_U64)[:, None]
+    return hi, lo, lo & _M32, lo >> _U64(32)
+
+
+# Draws are made in batches of columns.  The LCG state after j steps is
+# mult_j * state + incr_j * inc (mod 2^128), with mult_j = M^j and
+# incr_j = M^(j-1) + ... + M + 1, so a batch computes steps j = 1..width
+# in one pass of array operations.  The width is at most _JUMP and keeps
+# a batch within _JUMP_CELLS values, which stay in cache: few streams get
+# wide batches, thousands of streams narrow ones.
+_JUMP = 64
+_JUMP_CELLS = 1 << 15
+
+
+def _jump_table() -> tuple[tuple, tuple]:
+    mult, incr, mults, incrs = 1, 0, [], []
+    for _ in range(_JUMP):
+        mult = (mult * _PCG_MULT) & _MASK128
+        incr = (incr * _PCG_MULT + 1) & _MASK128
+        mults.append(mult)
+        incrs.append(incr)
+    return _words128(mults), _words128(incrs)
+
+
+class PCG64Streams:
+    """One numpy PCG64 stream per seed, advanced together.
+
+    ``random(k)`` returns, row by row, the next k values that
+    ``np.random.Generator(np.random.PCG64(seed)).random()`` would.
+    """
+
+    __slots__ = ("_hi", "_lo", "_inc_hi", "_inc_lo", "_jumps")
+
+    def __init__(self, seeds: np.ndarray):
+        state_hi, state_lo, seq_hi, seq_lo = _seed_sequence_words(np.asarray(seeds, dtype=_U64))
+        self._jumps = _jump_table()
+        # pcg_setseq_128_srandom_r: state 0, inc = (seq << 1) | 1, step
+        # (giving inc), add the initial state, step
+        self._inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+        self._inc_lo = (seq_lo << _U64(1)) | _U64(1)
+        self._lo = self._inc_lo + state_lo
+        self._hi = self._inc_hi + state_hi + (self._lo < state_lo)
+        self._advance(1)
+
+    def _advance(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The states after 1..k steps, as (k, streams) arrays; keeps the last."""
+        mults, incrs = ([w[:k] for w in words] for words in self._jumps)
+        a_hi, a_lo = _mul128(self._hi, self._lo, mults)
+        c_hi, c_lo = _mul128(self._inc_hi, self._inc_lo, incrs)
+        lo = a_lo + c_lo
+        hi = a_hi + c_hi + (lo < c_lo)
+        self._hi, self._lo = hi[-1], lo[-1]
+        return hi, lo
+
+    def random(self, k: int) -> np.ndarray:
+        out = np.empty((self._lo.size, k))
+        batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, self._lo.size)))
+        for start in range(0, k, batch):
+            width = min(batch, k - start)
+            hi, lo = self._advance(width)
+            # XSL-RR output, then Generator.random's next_double
+            x = hi ^ lo
+            rot = hi >> _U64(58)
+            x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+            out[:, start : start + width] = ((x >> _U64(11)).astype(np.float64) * _TO_DOUBLE).T
+        return out

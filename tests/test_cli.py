@@ -62,6 +62,27 @@ def test_run_csv_dump(tmp_path):
     assert plain["counts"] == payload["counts"]
 
 
+def test_run_csv_into_new_directory(tmp_path):
+    out = tmp_path / "new" / "nested"
+    code = run_cli(
+        "run", "--model", "local_hv", "--n", "40", "--seed", "5", "--out", str(out), "--csv",
+    )
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["flashes_local_hv.csv", "run_local_hv.json"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("rate", ["760", "inf"])
+def test_runaway_flash_rate_is_config_error(tmp_path, capsys, rate):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nflash_rate = {rate}\n")
+    code = run_cli("run", "--config", str(cfg), "--n", "10", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and "flash_rate" in err
+    assert not (tmp_path / "run_rgrwf.json").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -1,0 +1,186 @@
+"""Differential tests: the vectorized ensemble kernel against the scalar
+engine it reimplements, run for run, and its PCG64 streams against numpy.
+
+The scalar ``_simulate_run`` (behind ``run_rgrwf`` and friends) is the
+specification.  A failure here means some run's outcome changed, which
+breaks the reproducibility contract even when every distribution test
+still passes.  A numpy release that changes SeedSequence, PCG64 or
+``Generator.random`` fails ``test_pcg64_streams_match_numpy``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flashlab.minkowski import Frame, Region
+from flashlab.models import (
+    OUTCOME_CELLS,
+    InconclusiveRunError,
+    ModelId,
+    ModelParams,
+    _kernel_block,
+    _poisson_cdf_table,
+    _poisson_inverse,
+    ensemble,
+    run_local_hv,
+    run_preferred_frame,
+    run_rgrwf,
+)
+from flashlab.quantum import PureState, SettingPair
+from flashlab.randomness import PCG64Streams, mix_seed, mix_seeds
+
+RUNNERS = {
+    ModelId.RGRWF: run_rgrwf,
+    ModelId.PREFERRED_FRAME: run_preferred_frame,
+    ModelId.LOCAL_HV: run_local_hv,
+}
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
+    """Per-run outcome cells from the scalar runner; -1 if inconclusive."""
+    runner = RUNNERS[model]
+    out = np.full((len(pairs), len(seeds)), -1)
+    for i, seed in enumerate(seeds):
+        for arm, pair in enumerate(pairs):
+            try:
+                outcome = runner(pair, frame, int(seed), params, record_trace=False).outcome
+            except InconclusiveRunError:
+                continue
+            out[arm, i] = OUTCOME_CELLS.index((outcome.alpha, outcome.beta))
+    return out
+
+
+def assert_run_for_run(model, pairs, frame, params, n, master_seed):
+    seeds = mix_seeds(master_seed, 0, n)
+    got = _kernel_block(model, [SettingPair(*p) for p in pairs], frame.rapidity, params, seeds)
+    want = scalar_cells(model, [SettingPair(*p) for p in pairs], frame, params, seeds.tolist())
+    mismatched = np.flatnonzero((got != want).any(axis=0))
+    assert mismatched.size == 0, (
+        f"{model.value}: {mismatched.size} of {n} runs differ, first at index "
+        f"{mismatched[0]} (kernel {got[:, mismatched[0]]}, scalar {want[:, mismatched[0]]})"
+    )
+
+
+def random_state(rng) -> PureState:
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return PureState(z / np.linalg.norm(z))
+
+
+def test_mix_seeds_match_scalar():
+    for master in (0, 1, 7, -3, 2**64 - 1, 2**70 + 5):
+        assert mix_seeds(master, 0, 300).tolist() == [mix_seed(master, i) for i in range(300)]
+    assert mix_seeds(9, 4090, 4100).tolist() == [mix_seed(9, i) for i in range(4090, 4100)]
+
+
+def test_pcg64_streams_match_numpy():
+    def reference(seeds, k):
+        return np.array([np.random.Generator(np.random.PCG64(s)).random(k) for s in seeds])
+
+    edge = PCG64Streams(np.array(EDGE_SEEDS, dtype=np.uint64))
+    first, more = edge.random(5), edge.random(60)
+    np.testing.assert_array_equal(np.hstack([first, more]), reference(EDGE_SEEDS, 65))
+    seeds = [mix_seed(2024, i) for i in range(10_000)]
+    got = PCG64Streams(np.array(seeds, dtype=np.uint64)).random(6)
+    np.testing.assert_array_equal(got, reference(seeds, 6))
+
+
+@pytest.mark.parametrize("mean", [1e-9, 0.7, 5.0, 16.223781689084454, 20.0, 700.0, 708.0])
+def test_poisson_table_matches_inverse(mean):
+    table = _poisson_cdf_table(mean)
+    us = np.concatenate([np.linspace(0.0, 1.0, 2001, endpoint=False), table, [1.0 - 2**-53]])
+    got = np.searchsorted(table, us, side="right")
+    assert got.tolist() == [_poisson_inverse(float(u), mean) for u in us]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_kernel_matches_scalar_at_defaults(model):
+    assert_run_for_run(model, [(0.0, math.pi / 3)], Frame(0.0), ModelParams(), 10_000, 31)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("chi", [-0.5, 0.0, 0.5, 1.0, 10.0])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_kernel_matches_scalar_frames_and_softening(model, chi, epsilon):
+    # two arms that differ in the distant setting, as in a flip probe
+    pairs = [(0.4, 1.3), (0.4, 2.9)]
+    assert_run_for_run(model, pairs, Frame(chi), ModelParams(epsilon=epsilon), 2000, 17)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("rate", [0.7, 20.0])
+def test_kernel_matches_scalar_complex_state_and_rates(model, rate):
+    params = ModelParams(
+        state=random_state(np.random.default_rng(5)), flash_rate=rate, epsilon=0.02
+    )
+    assert_run_for_run(model, [(2.2, 0.9), (5.0, 0.9)], Frame(0.8), params, 2000, 23)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_ensemble_counts_across_blocks(model):
+    # 5000 runs span two kernel blocks; the joint table must equal the
+    # scalar runs tallied one by one
+    pairs = [SettingPair(0.0, 1.0), SettingPair(0.0, 2.0)]
+    params = ModelParams(flash_rate=1.0)
+    joint, inconclusive = ensemble(model, pairs, Frame(0.6), params, 5000, 77)
+    want = scalar_cells(model, pairs, Frame(0.6), params, mix_seeds(77, 0, 5000).tolist())
+    ok = want[0] >= 0
+    expected = np.zeros((4, 4), dtype=np.int64)
+    np.add.at(expected, (want[0, ok], want[1, ok]), 1)
+    np.testing.assert_array_equal(joint, expected)
+    assert inconclusive == int((~ok).sum()) > 0
+
+
+def test_ensemble_custom_runner_uses_scalar_loop():
+    calls = []
+
+    def runner(settings, frame, seed, params=None, record_trace=True):
+        calls.append(seed)
+        return run_rgrwf(settings, frame, seed, params, record_trace)
+
+    joint, inconclusive = ensemble(runner, [(0.0, 1.0)], Frame(0.0), None, 300, 4)
+    assert calls == [mix_seed(4, i) for i in range(300)]
+    kernel_joint, kernel_inconclusive = ensemble(ModelId.RGRWF, [(0.0, 1.0)], Frame(0.0), None,
+                                                 300, 4)
+    np.testing.assert_array_equal(joint, kernel_joint)
+    assert inconclusive == kernel_inconclusive
+
+
+@st.composite
+def model_params(draw):
+    t_min = draw(st.floats(-2.0, 2.0))
+    span_a = draw(st.floats(0.1, 2.0))
+    span_b = draw(st.floats(0.1, 2.0))
+    t_b = t_min + draw(st.floats(-1.0, 1.0))
+    x_a = draw(st.floats(-20.0, 0.0))
+    width_a = draw(st.floats(0.1, 2.0))
+    # B starts further right than any light signal from A can reach in time
+    reach = max(t_min + span_a, t_b + span_b) - min(t_min, t_b)
+    x_b = x_a + width_a + reach + draw(st.floats(0.1, 5.0))
+    regions = (
+        Region("A", t_min, t_min + span_a, x_a, x_a + width_a),
+        Region("B", t_b, t_b + span_b, x_b, x_b + draw(st.floats(0.1, 2.0))),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ModelParams(
+        state=random_state(np.random.default_rng(seed)),
+        flash_rate=draw(st.floats(0.05, 12.0)),
+        epsilon=draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.1))])),
+        regions=regions,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(list(ModelId)),
+    params=model_params(),
+    chi=st.floats(-3.0, 3.0),
+    angles=st.tuples(*(st.floats(-7.0, 7.0) for _ in range(3))),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+def test_kernel_matches_scalar_property(model, params, chi, angles, master_seed):
+    a, b1, b2 = angles
+    assert_run_for_run(model, [(a, b1), (a, b2)], Frame(chi), params, 60, master_seed)

@@ -12,6 +12,7 @@ from flashlab.models import (
     InconclusiveRunError,
     ModelId,
     ModelParams,
+    _poisson_inverse,
     lhv_correlator,
     outcome_distribution,
     run_local_hv,
@@ -42,6 +43,29 @@ def test_params_validation():
         ModelParams(epsilon=0.2)
     with pytest.raises(ValueError):
         ModelParams(regions=(Region("A", 0, 1, 0, 1), Region("B", 0, 1, 1.5, 2.5)))
+
+
+@pytest.mark.parametrize("rate", [760.0, math.inf, math.nan])
+def test_params_reject_runaway_flash_rate(rate):
+    # above a mean of 708 flashes exp(-mean) is no longer a normal double
+    # and the Poisson inversion used to loop for ever
+    with pytest.raises(ValueError, match="flash_rate"):
+        ModelParams(flash_rate=rate)
+
+
+def test_params_bound_flash_mean_per_region():
+    ModelParams(flash_rate=700.0)
+    wide_a = Region("A", 0.0, 2.0, -11.0, -10.0)
+    far_b = Region("B", 0.0, 1.0, 20.0, 21.0)
+    ModelParams(flash_rate=354.0, regions=(wide_a, far_b))
+    with pytest.raises(ValueError, match="region A"):
+        ModelParams(flash_rate=400.0, regions=(wide_a, far_b))
+
+
+def test_poisson_inverse_stops_when_the_term_underflows():
+    # at this mean the partial sums settle below 1 - 1e-15, so the largest
+    # uniform never met the old stopping rule
+    assert _poisson_inverse(1.0 - 2**-53, 16.223781689084454) > 40
 
 
 def test_equal_settings_always_anticorrelated():
