@@ -22,16 +22,8 @@ from pathlib import Path
 from .classify import ClassifyConfig, classify, params_digest
 from .determinism import CertifyConfig, no_effectively_causal_nonlocal_determinism_check
 from .minkowski import Frame, Region
-from .models import (
-    InconclusiveRunError,
-    ModelId,
-    ModelParams,
-    get_runner,
-    outcome_distribution,
-    write_flash_csv,
-)
+from .models import ModelId, ModelParams, outcome_distribution, seeded_runs, write_flash_csv
 from .quantum import PureState, SettingPair, born_joint, chsh_value, singlet
-from .randomness import mix_seed
 
 import numpy as np
 
@@ -101,6 +93,9 @@ class RunConfig:
         self.b = self._resolve_float(args.b, "experiment", "b", 0.0)
         self.frame = Frame(self._resolve_float(args.frame, "experiment", "frame", 0.0))
         self.n = self._resolve_int(args.n, "experiment", "n", 10_000)
+        if self.n < 1:
+            anchor = "--n" if args.n is not None else self._anchor("experiment", "n")
+            raise ConfigError(f"{anchor}: n must be >= 1, got {self.n}")
         self.master_seed = self._resolve_seed(args)
         self.flash_rate = self._resolve_float(None, "experiment", "flash_rate", 5.0)
         self.epsilon = self._resolve_float(None, "experiment", "epsilon", 0.0)
@@ -303,24 +298,18 @@ def cmd_run(cfg: RunConfig) -> int:
         counts, inconclusive = dist.counts, dist.n_inconclusive
     else:
         # same seeds and counting as outcome_distribution, streaming flashes
-        runner = get_runner(cfg.model)
         counts = {c: 0 for c in OUTCOME_KEYS}
-        inconclusive = 0
 
         def runs():
-            nonlocal inconclusive
-            for i in range(cfg.n):
-                try:
-                    run = runner(pair, cfg.frame, mix_seed(cfg.master_seed, i),
-                                 cfg.params, record_trace=False)
-                except InconclusiveRunError as exc:
-                    inconclusive += 1
-                    continue
+            for i, (run,) in seeded_runs(
+                cfg.model, [pair], cfg.frame, cfg.params, cfg.n, cfg.master_seed
+            ):
                 counts[(run.outcome.alpha, run.outcome.beta)] += 1
                 yield i, run
 
         with _atomic_output(csv_path) as tmp:
             write_flash_csv(tmp, runs())
+        inconclusive = cfg.n - sum(counts.values())
 
     conclusive = cfg.n - inconclusive
     if conclusive == 0:

@@ -20,7 +20,7 @@ Two complementary halves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,13 +44,19 @@ MIN_BIT_BUDGET = 1024
 
 @dataclass(frozen=True, eq=False)
 class DeterministicStrategy:
-    """Lookup tables alpha(a_index, bits) and beta(b_index, bits), +-1 valued."""
+    """A stack of deterministic strategies over shared settings.
+
+    Row r has the +-1 lookup tables alpha(a_index, bits) =
+    table_a[r, a_index, bits] and beta(b_index, bits) = table_b[r, b_index,
+    bits].  ``len()`` counts the rows; indexing by an int, a slice, an index
+    array or a boolean mask returns another stack.
+    """
 
     settings_a: tuple[float, ...]
     settings_b: tuple[float, ...]
     k_bits: int
-    table_a: np.ndarray  # shape (len(settings_a), 2**k_bits)
-    table_b: np.ndarray
+    table_a: np.ndarray  # shape (count, len(settings_a), 2**k_bits), int8
+    table_b: np.ndarray  # shape (count, len(settings_b), 2**k_bits), int8
 
     def __post_init__(self):
         if not 0 <= self.k_bits <= MAX_K_BITS:
@@ -60,21 +66,25 @@ class DeterministicStrategy:
             ("table_a", self.table_a, self.settings_a),
             ("table_b", self.table_b, self.settings_b),
         ):
-            if table.shape != (len(settings), width):
-                raise ValueError(f"{name} must have shape ({len(settings)}, {width})")
+            if table.ndim != 3 or table.shape[1:] != (len(settings), width):
+                raise ValueError(f"{name} must have shape (count, {len(settings)}, {width})")
+        if self.table_a.shape[0] != self.table_b.shape[0]:
+            raise ValueError("table_a and table_b must stack the same number of strategies")
 
-    def alpha(self, a_index: int, bits_index: int) -> int:
-        return int(self.table_a[a_index, bits_index])
+    def __len__(self) -> int:
+        return self.table_a.shape[0]
 
-    def beta(self, b_index: int, bits_index: int) -> int:
-        return int(self.table_b[b_index, bits_index])
+    def __getitem__(self, rows) -> DeterministicStrategy:
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return replace(self, table_a=self.table_a[rows], table_b=self.table_b[rows])
 
 
 @dataclass(frozen=True, eq=False)
 class StrategyMixture:
-    """Convex mixture of strategies over shared settings."""
+    """Convex mixture of the strategies of one stack."""
 
-    strategies: tuple[DeterministicStrategy, ...]
+    strategies: DeterministicStrategy
     weights: np.ndarray
 
     def __post_init__(self):
@@ -111,12 +121,15 @@ def enumerate_strategies(
     k_bits: int,
     settings_a: tuple[float, ...] | None = None,
     settings_b: tuple[float, ...] | None = None,
-) -> list[DeterministicStrategy]:
-    """All deterministic strategies on n_a x n_b settings with k shared bits.
+) -> DeterministicStrategy:
+    """All deterministic strategies on n_a x n_b settings with k shared bits,
+    as one stack.
 
-    The count is 2**(n_a 2**k) * 2**(n_b 2**k), in a fixed order (side B
-    tables vary fastest).  Default settings are 0, pi/2, ... on side A and
-    pi/4, 3pi/4, ... on side B, so (2, 2) lands on the CHSH angles.
+    The count is 2**(n_a 2**k) * 2**(n_b 2**k), in a fixed order: row i
+    pairs side A table i // N_B with side B table i % N_B, where N_B =
+    2**(n_b 2**k), so side B varies fastest.  Default settings are 0,
+    pi/2, ... on side A and pi/4, 3pi/4, ... on side B, so (2, 2) lands on
+    the CHSH angles.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("need at least one setting per side")
@@ -140,11 +153,13 @@ def enumerate_strategies(
         raise ValueError("settings lists must match n_a, n_b")
     tables_a = _side_tables(n_a, k_bits)
     tables_b = _side_tables(n_b, k_bits)
-    out = []
-    for ta in tables_a:
-        for tb in tables_b:
-            out.append(DeterministicStrategy(sa, sb, k_bits, ta, tb))
-    return out
+    return DeterministicStrategy(
+        sa,
+        sb,
+        k_bits,
+        np.repeat(tables_a, len(tables_b), axis=0),
+        np.tile(tables_b, (len(tables_a), 1, 1)),
+    )
 
 
 def _match_setting(settings: tuple[float, ...], theta: float) -> int:
@@ -156,52 +171,40 @@ def _match_setting(settings: tuple[float, ...], theta: float) -> int:
     raise ValueError(f"strategy does not use setting {theta!r}; has {settings}")
 
 
-def _strategy_correlator(strategy: DeterministicStrategy, ia: int, ib: int) -> float:
-    row_a = strategy.table_a[ia].astype(np.float64)
-    row_b = strategy.table_b[ib].astype(np.float64)
-    return float(row_a @ row_b) / row_a.size
+def chsh_of(strategies, angles: tuple = CHSH_ANGLES) -> np.ndarray | float:
+    """CHSH value E(a,b) - E(a,b') + E(a',b) + E(a',b') of every strategy
+    of a stack, as a float array, averaging products over the uniform bit
+    string; for a StrategyMixture, the weighted sum of its values.
 
-
-def chsh_of(strategy_or_mixture, angles: tuple = CHSH_ANGLES) -> float:
-    """CHSH value E(a,b) - E(a,b') + E(a',b) + E(a',b') of a deterministic
-    strategy or mixture, averaging products over the uniform bit string.
-
-    The strategy must use exactly the two given settings per side.
+    The strategies must use exactly the two given settings per side.
     """
-    a, a_p, b, b_p = angles
-    if isinstance(strategy_or_mixture, StrategyMixture):
-        return float(
-            sum(
-                w * chsh_of(s, angles)
-                for w, s in zip(strategy_or_mixture.weights, strategy_or_mixture.strategies)
-            )
-        )
-    strategy = strategy_or_mixture
-    if len(strategy.settings_a) != 2 or len(strategy.settings_b) != 2:
+    if isinstance(strategies, StrategyMixture):
+        return float(strategies.weights @ chsh_of(strategies.strategies, angles))
+    if len(strategies.settings_a) != 2 or len(strategies.settings_b) != 2:
         raise ValueError("CHSH needs exactly 2 settings per side")
-    ia, ia_p = _match_setting(strategy.settings_a, a), _match_setting(strategy.settings_a, a_p)
-    ib, ib_p = _match_setting(strategy.settings_b, b), _match_setting(strategy.settings_b, b_p)
-    e = lambda i, j: _strategy_correlator(strategy, i, j)
+    a, a_p, b, b_p = angles
+    sa, sb = strategies.settings_a, strategies.settings_b
+    ia, ia_p = _match_setting(sa, a), _match_setting(sa, a_p)
+    ib, ib_p = _match_setting(sb, b), _match_setting(sb, b_p)
+    table_a, table_b = strategies.table_a, strategies.table_b
+
+    def e(i, j):
+        return (table_a[:, i] * table_b[:, j]).sum(axis=1, dtype=np.int64) / table_a.shape[2]
+
     return e(ia, ib) - e(ia, ib_p) + e(ia_p, ib) + e(ia_p, ib_p)
 
 
 def epr_filter(
-    strategies, common_settings: tuple[float, ...]
-) -> list[DeterministicStrategy]:
+    strategies: DeterministicStrategy, common_settings: tuple[float, ...]
+) -> DeterministicStrategy:
     """Keep the strategies that are perfectly anticorrelated at every
     common setting: beta(theta, bits) = -alpha(theta, bits) pointwise."""
-    kept = []
-    for s in strategies:
-        ok = True
-        for theta in common_settings:
-            ia = _match_setting(s.settings_a, theta)
-            ib = _match_setting(s.settings_b, theta)
-            if not np.array_equal(s.table_b[ib], -s.table_a[ia]):
-                ok = False
-                break
-        if ok:
-            kept.append(s)
-    return kept
+    keep = np.ones(len(strategies), dtype=bool)
+    for theta in common_settings:
+        ia = _match_setting(strategies.settings_a, theta)
+        ib = _match_setting(strategies.settings_b, theta)
+        keep &= (strategies.table_b[:, ib] == -strategies.table_a[:, ia]).all(axis=1)
+    return strategies[keep]
 
 
 @dataclass(frozen=True)
@@ -218,42 +221,38 @@ class WignerReport:
     worst_margin: float  # max over strategies of lhs - rhs (<= 0 when satisfied)
 
 
-def _p_plus_plus(strategy: DeterministicStrategy, ia: int, ib: int) -> float:
-    hits = (strategy.table_a[ia] == 1) & (strategy.table_b[ib] == 1)
-    return float(np.count_nonzero(hits)) / strategy.table_a.shape[1]
-
-
-def wigner_check(filtered, theta: float) -> WignerReport:
-    """Check the Wigner inequality for every filtered strategy.
+def wigner_check(filtered: DeterministicStrategy, theta: float) -> WignerReport:
+    """Check the Wigner inequality for every filtered strategy; lhs and rhs
+    are those of the first strategy with the largest lhs - rhs.
 
     Mixtures satisfy it automatically because both sides are linear in
     the strategy.  The quantum singlet values are (1/2) sin^2(theta) on
     the left against sin^2(theta/2) on the right, which violate the
     inequality for 0 < theta < pi/2.
     """
-    filtered = list(filtered)
-    if not filtered:
+    if len(filtered) == 0:
         raise ValueError("no strategies to check")
-    worst = -math.inf
-    worst_pair = (0.0, 0.0)
-    for s in filtered:
-        i0 = _match_setting(s.settings_a, 0.0)
-        i1 = _match_setting(s.settings_a, theta)
-        j1 = _match_setting(s.settings_b, theta)
-        j2 = _match_setting(s.settings_b, 2.0 * theta)
-        lhs = _p_plus_plus(s, i0, j2)
-        rhs = _p_plus_plus(s, i0, j1) + _p_plus_plus(s, i1, j2)
-        if lhs - rhs > worst:
-            worst = lhs - rhs
-            worst_pair = (lhs, rhs)
+    i0 = _match_setting(filtered.settings_a, 0.0)
+    i1 = _match_setting(filtered.settings_a, theta)
+    j1 = _match_setting(filtered.settings_b, theta)
+    j2 = _match_setting(filtered.settings_b, 2.0 * theta)
+
+    def p_plus_plus(ia, ib):
+        hits = (filtered.table_a[:, ia] == 1) & (filtered.table_b[:, ib] == 1)
+        return np.count_nonzero(hits, axis=1) / filtered.table_a.shape[2]
+
+    lhs = p_plus_plus(i0, j2)
+    rhs = p_plus_plus(i0, j1) + p_plus_plus(i1, j2)
+    worst = int(np.argmax(lhs - rhs))
+    margin = float(lhs[worst] - rhs[worst])
     return WignerReport(
         theta=theta,
-        lhs=worst_pair[0],
-        rhs=worst_pair[1],
+        lhs=float(lhs[worst]),
+        rhs=float(rhs[worst]),
         quantum_lhs=0.5 * math.sin(theta) ** 2,
         quantum_rhs=math.sin(theta / 2.0) ** 2,
-        all_satisfied=worst <= 1e-12,
-        worst_margin=worst,
+        all_satisfied=margin <= 1e-12,
+        worst_margin=margin,
     )
 
 
@@ -483,14 +482,13 @@ def no_effectively_causal_nonlocal_determinism_check(
     entries = []
     for k in range(config.k_max + 1):
         strategies = enumerate_strategies(2, 2, k)
-        max_chsh = max(chsh_of(s, config.chsh_angles) for s in strategies)
         entries.append(
             {
                 "n_a": 2,
                 "n_b": 2,
                 "k": k,
                 "count": len(strategies),
-                "max_chsh": max_chsh,
+                "max_chsh": float(chsh_of(strategies, config.chsh_angles).max()),
             }
         )
 

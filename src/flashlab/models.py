@@ -34,7 +34,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -335,6 +335,34 @@ def _coerce_pair(settings) -> SettingPair:
     return SettingPair(a, b)
 
 
+class _Model(NamedTuple):
+    """What tells the models apart; both the runners and the kernel read it."""
+
+    frame_ordered: bool  # decisions follow the requested frame, else the lab frame
+    local_channels: bool  # channels from shared randomness and the local setting only
+
+
+_MODELS: dict[ModelId, _Model] = {
+    ModelId.RGRWF: _Model(frame_ordered=True, local_channels=False),
+    ModelId.PREFERRED_FRAME: _Model(frame_ordered=False, local_channels=False),
+    ModelId.LOCAL_HV: _Model(frame_ordered=True, local_channels=True),
+}
+
+
+def _run_model(model: ModelId, settings, frame, seed, params, record_trace) -> ExperimentRun:
+    spec = _MODELS[model]
+    return _simulate_run(
+        GeneratorSource(seed),
+        _coerce_pair(settings),
+        params if params is not None else ModelParams(),
+        frame.rapidity if spec.frame_ordered else 0.0,
+        frame,
+        seed,
+        local_channels=spec.local_channels,
+        record_trace=record_trace,
+    )
+
+
 def run_rgrwf(
     settings,
     frame: Frame,
@@ -351,17 +379,7 @@ def run_rgrwf(
     flash follows the quantum conditional.  Identical arguments give a
     bit-identical run.
     """
-    params = params if params is not None else ModelParams()
-    return _simulate_run(
-        GeneratorSource(seed),
-        _coerce_pair(settings),
-        params,
-        frame.rapidity,
-        frame,
-        seed,
-        local_channels=False,
-        record_trace=record_trace,
-    )
+    return _run_model(ModelId.RGRWF, settings, frame, seed, params, record_trace)
 
 
 def run_preferred_frame(
@@ -377,17 +395,7 @@ def run_preferred_frame(
     outcome statistics match the quantum formalism exactly, but the
     direction of conditioning is pinned to the rapidity-0 frame.
     """
-    params = params if params is not None else ModelParams()
-    return _simulate_run(
-        GeneratorSource(seed),
-        _coerce_pair(settings),
-        params,
-        0.0,
-        frame,
-        seed,
-        local_channels=False,
-        record_trace=record_trace,
-    )
+    return _run_model(ModelId.PREFERRED_FRAME, settings, frame, seed, params, record_trace)
 
 
 def run_local_hv(
@@ -404,17 +412,7 @@ def run_local_hv(
     and side B outputs the negation at its own setting, so equal settings
     are perfectly anticorrelated and nothing ever crosses between regions.
     """
-    params = params if params is not None else ModelParams()
-    return _simulate_run(
-        GeneratorSource(seed),
-        _coerce_pair(settings),
-        params,
-        frame.rapidity,
-        frame,
-        seed,
-        local_channels=True,
-        record_trace=record_trace,
-    )
+    return _run_model(ModelId.LOCAL_HV, settings, frame, seed, params, record_trace)
 
 
 _RUNNERS: dict[ModelId, Callable] = {
@@ -481,18 +479,9 @@ def ensemble(
     joint = np.zeros((len(OUTCOME_CELLS),) * len(pairs), dtype=np.int64)
     inconclusive = 0
     if callable(model) and not isinstance(model, ModelId):
-        for i in range(n):
-            seed = mix_seed(master_seed, i)
-            try:
-                outcomes = [
-                    model(pair, frame, seed, params, record_trace=False).outcome
-                    for pair in pairs
-                ]
-            except InconclusiveRunError:
-                inconclusive += 1
-                continue
-            joint[tuple(OUTCOME_CELLS.index((o.alpha, o.beta)) for o in outcomes)] += 1
-        return joint, inconclusive
+        for _, runs in seeded_runs(model, pairs, frame, params, n, master_seed):
+            joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
+        return joint, n - int(joint.sum())
     model = ModelId(model)
     for start in range(0, n, _KERNEL_BLOCK):
         seeds = mix_seeds(master_seed, start, min(n, start + _KERNEL_BLOCK))
@@ -502,6 +491,22 @@ def ensemble(
         flat = np.ravel_multi_index(tuple(cells[:, conclusive]), joint.shape)
         joint += np.bincount(flat, minlength=joint.size).reshape(joint.shape)
     return joint, inconclusive
+
+
+def seeded_runs(model, arms, frame: Frame, params: ModelParams | None, n: int, master_seed: int):
+    """Yield ``(i, runs)`` for each i in range(n) whose seed mix_seed(master_seed,
+    i) gives a conclusive run under every settings arm, ``runs`` holding one
+    ExperimentRun per arm (traces not recorded).  Inconclusive seeds are
+    skipped, so n minus the number yielded counts them."""
+    runner = get_runner(model)
+    pairs = [_coerce_pair(s) for s in arms]
+    for i in range(n):
+        seed = mix_seed(master_seed, i)
+        try:
+            runs = tuple(runner(pair, frame, seed, params, record_trace=False) for pair in pairs)
+        except InconclusiveRunError:
+            continue
+        yield i, runs
 
 
 # --- ensemble kernel ---------------------------------------------------------
@@ -554,7 +559,8 @@ def _kernel_block(
         return cells
     base = 2 + 2 * (n_a + n_b)  # first channel draw
 
-    if model is ModelId.LOCAL_HV:
+    spec = _MODELS[model]
+    if spec.local_channels:
         u = draw_to(int(base[conclusive].max()) + 2)[conclusive]
         base = base[conclusive, None]
         lam = 2.0 * math.pi * _gather(u, base)[:, 0]
@@ -566,8 +572,8 @@ def _kernel_block(
         return cells
 
     u = draw_to(int(base[conclusive].max()))
-    ch = math.cosh(rapidity if model is ModelId.RGRWF else 0.0)
-    sh = math.sinh(rapidity if model is ModelId.RGRWF else 0.0)
+    ch = math.cosh(rapidity if spec.frame_ordered else 0.0)
+    sh = math.sinh(rapidity if spec.frame_ordered else 0.0)
     keys = []
     for region, count, offset in ((ra, n_a, np.ones_like(n_a)), (rb, n_b, 2 + 2 * n_a)):
         cols = np.arange(int(count.max()))

@@ -155,7 +155,7 @@ def test_criterion_07_local_bound_certificate():
     pool = None
     for k in (0, 1, 2):
         strategies = enumerate_strategies(2, 2, k)
-        maxima[k] = max(chsh_of(s) for s in strategies)
+        maxima[k] = float(chsh_of(strategies).max())
         if k == 1:
             pool = strategies
     exact = all(m == 2.0 for m in maxima.values())
@@ -164,7 +164,7 @@ def test_criterion_07_local_bound_certificate():
     for _ in range(10_000):
         members = rng.choice(len(pool), size=4, replace=False)
         weights = rng.dirichlet(np.ones(4))
-        mix = StrategyMixture(tuple(pool[i] for i in members), weights)
+        mix = StrategyMixture(pool[members], weights)
         worst_mix = max(worst_mix, chsh_of(mix))
     ok = exact and worst_mix <= 2.0 + 1e-12
     _report(7, "local bound certificate", ok,

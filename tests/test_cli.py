@@ -83,6 +83,20 @@ def test_runaway_flash_rate_is_config_error(tmp_path, capsys, rate):
     assert not (tmp_path / "run_rgrwf.json").exists()
 
 
+@pytest.mark.parametrize("n", ["-5", "0"])
+@pytest.mark.parametrize("csv", [(), ("--csv",)], ids=["plain", "csv"])
+def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
+    code = run_cli("run", "--n", n, "--out", str(tmp_path), *csv)
+    assert code == 1
+    assert "--n: n must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nn = {n}\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path), *csv) == 1
+    assert f"{cfg}:2: n must be >= 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -7,6 +7,7 @@ import pytest
 
 from flashlab.determinism import (
     CertifyConfig,
+    DeterministicStrategy,
     InfluenceEvidence,
     JanusRealization,
     StrategyMixture,
@@ -43,20 +44,20 @@ def test_enumeration_guard():
 
 def test_all_plus_strategy_chsh_two():
     strategies = enumerate_strategies(2, 2, 0)
-    all_plus = [
-        s
-        for s in strategies
-        if (s.table_a == 1).all() and (s.table_b == 1).all()
-    ]
-    assert len(all_plus) == 1
-    assert chsh_of(all_plus[0]) == 2.0
+    all_plus = ((strategies.table_a == 1).all(axis=(1, 2))
+                & (strategies.table_b == 1).all(axis=(1, 2)))
+    assert np.count_nonzero(all_plus) == 1
+    assert chsh_of(strategies[all_plus]).tolist() == [2.0]
+    assert chsh_of(strategies[int(np.argmax(all_plus))]).tolist() == [2.0]
 
 
 def test_local_bound_exhaustive_and_exact():
     for k in (0, 1):
-        values = [chsh_of(s) for s in enumerate_strategies(2, 2, k)]
-        assert max(values) == 2.0
-        assert min(values) == -2.0
+        strategies = enumerate_strategies(2, 2, k)
+        values = chsh_of(strategies)
+        assert values.shape == (len(strategies),)
+        assert values.max() == 2.0
+        assert values.min() == -2.0
 
 
 def test_mixtures_never_beat_pure_max():
@@ -65,14 +66,107 @@ def test_mixtures_never_beat_pure_max():
     for _ in range(300):
         members = rng.choice(len(strategies), size=5, replace=False)
         weights = rng.dirichlet(np.ones(5))
-        mix = StrategyMixture(tuple(strategies[i] for i in members), weights)
-        assert chsh_of(mix) <= 2.0 + 1e-12
+        mix = StrategyMixture(strategies[members], weights)
+        value = chsh_of(mix)
+        assert isinstance(value, float)
+        pure = [chsh_of(strategies[i]).item() for i in members]
+        assert value == pytest.approx(sum(w * v for w, v in zip(weights, pure)), abs=1e-12)
+        assert value <= 2.0 + 1e-12
 
 
 def test_chsh_setting_mismatch_errors():
     strategy = enumerate_strategies(2, 2, 0)[5]
     with pytest.raises(ValueError, match="setting"):
         chsh_of(strategy, (0.1, 0.2, 0.3, 0.4))
+
+
+def _brute_side_tables(n_settings, k):
+    """Side tables straight from the enumeration order: table i sets entry
+    (s, m) to +1 when bit s * 2**k + m of i is set, else -1."""
+    width = 1 << k
+    return [
+        [[1 if i >> (s * width + m) & 1 else -1 for m in range(width)]
+         for s in range(n_settings)]
+        for i in range(1 << (n_settings * width))
+    ]
+
+
+def _brute_correlation(row_a, row_b):
+    return sum(x * y for x, y in zip(row_a, row_b)) / len(row_a)
+
+
+def _brute_p_plus_plus(row_a, row_b):
+    return sum(1 for x, y in zip(row_a, row_b) if x == 1 and y == 1) / len(row_a)
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 0)])
+def test_stacked_tables_match_brute_force(n, k):
+    theta = 0.7
+    if n == 2:  # A at (0, t), B at (t, 2t): CHSH, EPR at t and Wigner all apply
+        settings_a, settings_b, common = (0.0, theta), (theta, 2 * theta), (theta,)
+    else:
+        settings_a = settings_b = common = (0.0, theta, 2 * theta)
+    stack = enumerate_strategies(n, n, k, settings_a, settings_b)
+    side_a, side_b = _brute_side_tables(n, k), _brute_side_tables(n, k)
+    rows = [(side_a[i // len(side_b)], side_b[i % len(side_b)]) for i in range(len(stack))]
+    assert len(stack) == len(side_a) * len(side_b)
+    assert stack.table_a.dtype == stack.table_b.dtype == np.int8
+    assert np.array_equal(stack.table_a, [ta for ta, _ in rows])
+    assert np.array_equal(stack.table_b, [tb for _, tb in rows])
+
+    ia, ib = settings_a.index, settings_b.index
+    if n == 2:
+        chsh = [
+            _brute_correlation(ta[0], tb[0]) - _brute_correlation(ta[0], tb[1])
+            + _brute_correlation(ta[1], tb[0]) + _brute_correlation(ta[1], tb[1])
+            for ta, tb in rows
+        ]
+        assert np.array_equal(chsh_of(stack, (0.0, theta, theta, 2 * theta)), chsh)
+    else:
+        with pytest.raises(ValueError, match="2 settings"):
+            chsh_of(stack, (0.0, theta, theta, 2 * theta))
+
+    keep = [
+        all(tb[ib(c)][m] == -ta[ia(c)][m] for c in common for m in range(1 << k))
+        for ta, tb in rows
+    ]
+    survivors = epr_filter(stack, common)
+    assert np.array_equal(survivors.table_a, stack.table_a[keep])
+    assert np.array_equal(survivors.table_b, stack.table_b[keep])
+
+    lhs = [_brute_p_plus_plus(ta[ia(0.0)], tb[ib(2 * theta)]) for ta, tb in rows]
+    rhs = [
+        _brute_p_plus_plus(ta[ia(0.0)], tb[ib(theta)])
+        + _brute_p_plus_plus(ta[ia(theta)], tb[ib(2 * theta)])
+        for ta, tb in rows
+    ]
+    for i in range(len(stack)):
+        report = wigner_check(stack[i], theta)
+        assert (report.lhs, report.rhs) == (lhs[i], rhs[i])
+    # the report holds the first row with the largest margin, in stack order;
+    # rows that tie on the margin can differ in lhs and rhs
+    shuffled = np.random.default_rng(5).permutation(len(stack))
+    for order in (np.arange(len(stack)), shuffled, np.flatnonzero(keep), shuffled[::-1]):
+        margins = [lhs[i] - rhs[i] for i in order]
+        worst = order[margins.index(max(margins))]
+        report = wigner_check(stack[order], theta)
+        assert (report.lhs, report.rhs) == (lhs[worst], rhs[worst])
+        assert report.worst_margin == lhs[worst] - rhs[worst]
+        assert report.all_satisfied == (report.worst_margin <= 1e-12)
+
+
+def test_stack_indexing():
+    stack = enumerate_strategies(2, 2, 1)
+    assert len(stack[7]) == 1 and len(stack[-1]) == 1
+    assert np.array_equal(stack[-1].table_a, stack.table_a[-1:])
+    assert len(stack[10:20]) == 10
+    assert np.array_equal(stack[[3, 1]].table_b, stack.table_b[[3, 1]])
+    assert stack[5].settings_a == stack.settings_a and stack[5].k_bits == 1
+    with pytest.raises(IndexError):
+        stack[len(stack)]
+    with pytest.raises(ValueError, match="same number"):
+        DeterministicStrategy(stack.settings_a, stack.settings_b, 1,
+                              stack.table_a, stack.table_b[1:])
 
 
 def test_epr_filter_counts():
@@ -83,16 +177,16 @@ def test_epr_filter_counts():
     common2 = (0.0, theta)
     survivors2 = epr_filter(enumerate_strategies(2, 2, 0, common2, common2), common2)
     assert len(survivors2) == 4
-    for s in survivors2:
-        # anticorrelated subset still obeys the local bound
-        assert abs(chsh_of(s, (0.0, theta, 0.0, theta))) <= 2.0
+    # anticorrelated subset still obeys the local bound
+    assert (np.abs(chsh_of(survivors2, (0.0, theta, 0.0, theta))) <= 2.0).all()
 
 
 def test_epr_filter_survivors_are_anticorrelated():
     theta = 0.9
     common = (0.0, theta, 2 * theta)
-    for s in epr_filter(enumerate_strategies(3, 3, 0, common, common), common):
-        assert np.array_equal(s.table_b, -s.table_a)
+    survivors = epr_filter(enumerate_strategies(3, 3, 0, common, common), common)
+    assert len(survivors) == 8
+    assert np.array_equal(survivors.table_b, -survivors.table_a)
 
 
 def test_wigner_deterministic_vs_quantum():
@@ -116,12 +210,13 @@ def test_wigner_mixtures_inherit_by_linearity():
     def p_pp(table_a, table_b, ia, ib):
         return float(np.mean((table_a[ia] == 1) & (table_b[ib] == 1)))
 
+    rows = [(survivors.table_a[r], survivors.table_b[r]) for r in range(len(survivors))]
     for _ in range(200):
         weights = rng.dirichlet(np.ones(len(survivors)))
-        lhs = sum(w * p_pp(s.table_a, s.table_b, 0, 2) for w, s in zip(weights, survivors))
+        lhs = sum(w * p_pp(ta, tb, 0, 2) for w, (ta, tb) in zip(weights, rows))
         rhs = sum(
-            w * (p_pp(s.table_a, s.table_b, 0, 1) + p_pp(s.table_a, s.table_b, 1, 2))
-            for w, s in zip(weights, survivors)
+            w * (p_pp(ta, tb, 0, 1) + p_pp(ta, tb, 1, 2))
+            for w, (ta, tb) in zip(weights, rows)
         )
         assert lhs <= rhs + 1e-12
 
