@@ -66,7 +66,6 @@ class SampleSet:
 
     cell_counts: tuple[int, ...]  # conclusive runs per OUTCOME_CELLS entry
     n_inconclusive: int
-    provenance: dict
 
     @property
     def n(self) -> int:
@@ -167,19 +166,25 @@ def collect_samples(
 ) -> SampleSet:
     """Run the model n times with counter-derived seeds."""
     counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
-    provenance = {
-        "model": getattr(model, "value", str(model)),
-        "master_seed": master_seed,
-        "n": n,
-        "params_digest": params_digest(params),
-    }
-    return SampleSet(tuple(counts.tolist()), inconclusive, provenance)
+    return SampleSet(tuple(counts.tolist()), inconclusive)
 
 
-def _too_many_inconclusive(sample_sets) -> bool:
-    total = sum(s.n for s in sample_sets)
-    bad = sum(s.n_inconclusive for s in sample_sets)
-    return bad > _MAX_INCONCLUSIVE_FRACTION * total
+def _sample_cells(
+    model, params: ModelParams, pairs, n: int, master_seed: int, frame: Frame = Frame(0.0)
+) -> list[SampleSet]:
+    """One SampleSet per settings pair, pair i seeded with mix_seed(master_seed, i)."""
+    return [
+        collect_samples(model, params, pair, frame, n, mix_seed(master_seed, i))
+        for i, pair in enumerate(pairs)
+    ]
+
+
+def _gated(ok: bool, dropped: int, total: int) -> str:
+    """PASS iff ok, else FAIL; INCONCLUSIVE when no run was made or more
+    than _MAX_INCONCLUSIVE_FRACTION of them were dropped."""
+    if total == 0 or dropped > _MAX_INCONCLUSIVE_FRACTION * total:
+        return INCONCLUSIVE
+    return PASS if ok else FAIL
 
 
 def test_qf(
@@ -195,28 +200,21 @@ def test_qf(
     statistic = smallest Bonferroni-adjusted p-value across grid cells;
     pass iff statistic >= alpha.
     """
-    grid = list(settings_grid)
+    grid = [c if isinstance(c, SettingPair) else SettingPair(*c) for c in settings_grid]
     if not grid:
         raise ValueError("settings grid must be nonempty")
-    sets, p_values = [], []
-    for idx, cell in enumerate(grid):
-        pair = cell if isinstance(cell, SettingPair) else SettingPair(*cell)
-        sample = collect_samples(model, params, pair, Frame(0.0), n, mix_seed(master_seed, idx))
-        sets.append(sample)
+    sets = _sample_cells(model, params, grid, n, master_seed)
+    p_values = []
+    for pair, sample in zip(grid, sets):
         expected = born_joint(params.state, pair)
-        res = chi2_gof(sample.counts(), [expected[c] for c in OUTCOME_CELLS])
-        p_values.append(res.p_value)
+        p_values.append(chi2_gof(sample.counts(), [expected[c] for c in OUTCOME_CELLS]).p_value)
     p_adj = bonferroni(p_values)
-    if _too_many_inconclusive(sets):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if p_adj >= alpha else FAIL
     return TestResult(
         "qf_agreement",
         statistic=p_adj,
         threshold=alpha,
         p_bound=p_adj,
-        verdict=verdict,
+        verdict=_gated(p_adj >= alpha, sum(s.n_inconclusive for s in sets), n * len(sets)),
         details={"cells": len(grid), "p_values": p_values},
     )
 
@@ -236,15 +234,8 @@ def test_no_signalling(
     statistic = smallest p-value; pass iff statistic >= alpha.
     """
     a, a_p, b, b_p = angles
-    cells = {
-        "ab": (a, b),
-        "ab'": (a, b_p),
-        "a'b": (a_p, b),
-    }
-    sets = {
-        key: collect_samples(model, params, pair, Frame(0.0), n, mix_seed(master_seed, i))
-        for i, (key, pair) in enumerate(cells.items())
-    }
+    sets = _sample_cells(model, params, [(a, b), (a, b_p), (a_p, b)], n, master_seed)
+    ab, ab_p, a_p_b = (s.counts() for s in sets)
 
     def marginal(counts, side):
         if side == "A":
@@ -252,28 +243,17 @@ def test_no_signalling(
         return [counts[0] + counts[2], counts[1] + counts[3]]
 
     comparisons = {
-        "alpha_across_b": chi2_homogeneity(
-            marginal(sets["ab"].counts(), "A"), marginal(sets["ab'"].counts(), "A")
-        ),
-        "beta_across_a": chi2_homogeneity(
-            marginal(sets["ab"].counts(), "B"), marginal(sets["a'b"].counts(), "B")
-        ),
+        "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
+        "beta_across_a": chi2_homogeneity(marginal(ab, "B"), marginal(a_p_b, "B")),
     }
     p_min = min(r.p_value for r in comparisons.values())
-    if _too_many_inconclusive(sets.values()):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if p_min >= alpha else FAIL
-    discrepancy = {}
-    for key, res in comparisons.items():
-        discrepancy[key] = res.statistic
     return TestResult(
         "no_signalling",
         statistic=p_min,
         threshold=alpha,
         p_bound=p_min,
-        verdict=verdict,
-        details={"comparisons": discrepancy},
+        verdict=_gated(p_min >= alpha, sum(s.n_inconclusive for s in sets), n * len(sets)),
+        details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
     )
 
 
@@ -287,11 +267,11 @@ def chsh_estimate(
 ) -> tuple[float, float]:
     """(S_hat, standard error) of E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     a, a_p, b, b_p = angles
-    signs_pairs = [(+1, (a, b)), (-1, (a, b_p)), (+1, (a_p, b)), (+1, (a_p, b_p))]
+    pairs = [(a, b), (a, b_p), (a_p, b), (a_p, b_p)]
+    sets = _sample_cells(model, params, pairs, n, master_seed, frame)
     s_hat = 0.0
     var = 0.0
-    for i, (sign, pair) in enumerate(signs_pairs):
-        sample = collect_samples(model, params, pair, frame, n, mix_seed(master_seed, i))
+    for sign, sample in zip((+1, -1, +1, +1), sets):
         counts = sample.counts()
         m = sum(counts)
         if m == 0:
@@ -375,14 +355,41 @@ def paired_flip_fraction(
     }
 
 
-def _ordered_probes(params: ModelParams, frames_probe) -> list[tuple[Frame, str]]:
+def _flip_sweep(
+    model, params: ModelParams, frames_probe, n: int, master_seed: int,
+    probe_settings: tuple[float, float], probe_fixed: float, first_index: int,
+) -> list[dict]:
+    """paired_flip_fraction in each probe frame that orders the region
+    boxes, probe k seeded with mix_seed(master_seed, first_index + k).
+
+    Frames that leave the boxes overlapping in frame time identify no
+    earlier region and are skipped; the rest must order them both ways.
+    """
     ra, rb = params.regions
-    out = []
-    for frame in frames_probe:
-        earlier = region_frame_order(ra, rb, frame)
-        if earlier is not None:
-            out.append((frame, earlier))
-    return out
+    ordered = [(frame, region_frame_order(ra, rb, frame)) for frame in frames_probe]
+    ordered = [(frame, earlier) for frame, earlier in ordered if earlier is not None]
+    have = {earlier for _, earlier in ordered}
+    if have != {"A", "B"}:
+        raise ValueError(
+            "frames_probe must order the regions both ways; "
+            f"got earlier-region set {sorted(have)}"
+        )
+    return [
+        paired_flip_fraction(
+            model, params, frame, earlier, probe_settings, probe_fixed,
+            n, mix_seed(master_seed, first_index + k),
+        )
+        for k, (frame, earlier) in enumerate(ordered)
+    ]
+
+
+def _flip_result(name: str, stat: float, probes: list[dict], details: dict) -> TestResult:
+    """A flip verdict against threshold 0: pass iff stat is zero, gated
+    on the runs the probes dropped."""
+    dropped = sum(p["dropped"] for p in probes)
+    total = sum(p["pairs"] + p["dropped"] for p in probes)
+    p_bound = 1.0 if stat == 0.0 else 0.0
+    return TestResult(name, stat, 0.0, p_bound, _gated(stat == 0.0, dropped, total), details)
 
 
 def test_effective_locality(
@@ -403,42 +410,19 @@ def test_effective_locality(
     direction's best flip fraction, threshold = 0; pass iff statistic = 0
     for both directions.
     """
-    probes = _ordered_probes(params, frames_probe)
-    have = {earlier for _, earlier in probes}
-    if have != {"A", "B"}:
-        raise ValueError(
-            "frames_probe must order the regions both ways; "
-            f"got earlier-region set {sorted(have)}"
-        )
+    probes = _flip_sweep(
+        model, params, frames_probe, n, master_seed, probe_settings, probe_fixed, 0
+    )
     per_direction = {}
     detail = []
     for direction, receiver in (("A->B", "B"), ("B->A", "A")):
-        best = math.inf
-        for k, (frame, earlier) in enumerate(probes):
-            if earlier != receiver:
-                continue
-            probe = paired_flip_fraction(
-                model, params, frame, earlier, probe_settings, probe_fixed,
-                n, mix_seed(master_seed, k),
-            )
-            detail.append({"direction": direction, **probe})
-            best = min(best, probe["fraction"])
-        per_direction[direction] = best
-    stat = max(per_direction.values())
-    dropped = sum(d["dropped"] for d in detail)
-    total = sum(d["pairs"] + d["dropped"] for d in detail)
-    if total == 0 or dropped > _MAX_INCONCLUSIVE_FRACTION * total:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if stat == 0.0 else FAIL
-    return TestResult(
-        "effective_locality",
-        statistic=stat,
-        threshold=0.0,
-        p_bound=1.0 if stat == 0.0 else 0.0,
-        verdict=verdict,
-        details={"directions": per_direction, "probes": detail},
-    )
+        received = [p for p in probes if p["earlier"] == receiver]
+        detail += [{"direction": direction, **p} for p in received]
+        # min keeps its current value against a NaN (a probe with no
+        # conclusive pair), so starting from inf skips those probes
+        per_direction[direction] = min([math.inf, *(p["fraction"] for p in received)])
+    details = {"directions": per_direction, "probes": detail}
+    return _flip_result("effective_locality", max(per_direction.values()), probes, details)
 
 
 def test_effective_causality(
@@ -452,42 +436,16 @@ def test_effective_causality(
 ) -> TestResult:
     """The frame-earlier region never depends on the frame-later setting.
 
-    Probes every frame in the set that orders the region boxes (frames
-    that leave them overlapping in frame time identify no earlier region
-    and are skipped).  statistic = worst flip fraction over probed frames,
-    threshold = 0; pass iff zero flips everywhere.
+    Probes every frame in the set that orders the region boxes.
+    statistic = worst flip fraction over probed frames (probes with no
+    conclusive pair are skipped), threshold = 0; pass iff zero flips
+    everywhere.
     """
-    probes = _ordered_probes(params, frames_probe)
-    have = {earlier for _, earlier in probes}
-    if have != {"A", "B"}:
-        raise ValueError(
-            "frames_probe must order the regions both ways; "
-            f"got earlier-region set {sorted(have)}"
-        )
-    detail = []
-    worst = 0.0
-    for k, (frame, earlier) in enumerate(probes):
-        probe = paired_flip_fraction(
-            model, params, frame, earlier, probe_settings, probe_fixed,
-            n, mix_seed(master_seed, 1000 + k),
-        )
-        detail.append(probe)
-        if not math.isnan(probe["fraction"]):
-            worst = max(worst, probe["fraction"])
-    dropped = sum(d["dropped"] for d in detail)
-    total = sum(d["pairs"] + d["dropped"] for d in detail)
-    if total == 0 or dropped > _MAX_INCONCLUSIVE_FRACTION * total:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if worst == 0.0 else FAIL
-    return TestResult(
-        "effective_causality",
-        statistic=worst,
-        threshold=0.0,
-        p_bound=1.0 if worst == 0.0 else 0.0,
-        verdict=verdict,
-        details={"probes": detail},
+    probes = _flip_sweep(
+        model, params, frames_probe, n, master_seed, probe_settings, probe_fixed, 1000
     )
+    worst = max([0.0, *(p["fraction"] for p in probes if not math.isnan(p["fraction"]))])
+    return _flip_result("effective_causality", worst, probes, {"probes": probes})
 
 
 def classify(
@@ -498,11 +456,9 @@ def classify(
     """Run the full five-test battery with independent derived seeds."""
     params = params if params is not None else ModelParams()
     config = config if config is not None else ClassifyConfig()
-    frames = (
-        config.frames_probe
-        if config.frames_probe is not None
-        else default_frames_probe(params)
-    )
+    frames = config.frames_probe
+    if frames is None:
+        frames = default_frames_probe(params)
     seeds = {name: mix_seed(config.master_seed, 101 + i) for i, name in enumerate(TEST_NAMES)}
     results = {
         "qf_agreement": test_qf(

@@ -49,6 +49,19 @@ class ConfigError(Exception):
     """Invalid configuration; message is anchored to file and line."""
 
 
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split())
+
+
 def parse_config_file(path: str) -> dict:
     """Parse sectioned key = value text; reject unknown sections/keys.
 
@@ -89,18 +102,18 @@ class RunConfig:
         self.entries = parse_config_file(args.config) if args.config else {}
         self.model = self._resolve_model(args)
         self.state = self._resolve_state()
-        self.a = self._resolve_float(args.a, "experiment", "a", 0.0)
-        self.b = self._resolve_float(args.b, "experiment", "b", 0.0)
-        self.frame = Frame(self._resolve_float(args.frame, "experiment", "frame", 0.0))
-        self.n = self._resolve_int(args.n, "experiment", "n", 10_000)
+        self.a = self._value(args.a, "experiment", "a", 0.0, float, "a number")
+        self.b = self._value(args.b, "experiment", "b", 0.0, float, "a number")
+        self.frame = Frame(self._value(args.frame, "experiment", "frame", 0.0, float, "a number"))
+        self.n = self._value(args.n, "experiment", "n", 10_000, int, "an integer")
         if self.n < 1:
             anchor = "--n" if args.n is not None else self._anchor("experiment", "n")
             raise ConfigError(f"{anchor}: n must be >= 1, got {self.n}")
         self.master_seed = self._resolve_seed(args)
-        self.flash_rate = self._resolve_float(None, "experiment", "flash_rate", 5.0)
-        self.epsilon = self._resolve_float(None, "experiment", "epsilon", 0.0)
+        self.flash_rate = self._value(None, "experiment", "flash_rate", 5.0, float, "a number")
+        self.epsilon = self._value(None, "experiment", "epsilon", 0.0, float, "a number")
         self.out_dir = Path(args.out or self._raw("output", "out_dir", "results"))
-        self.csv = bool(args.csv) or self._resolve_bool("output", "csv", False)
+        self.csv = bool(args.csv) or self._value(None, "output", "csv", False, _bool, "a boolean")
         regions = (
             self._resolve_region("a_box", ModelParams().regions[0]),
             self._resolve_region("b_box", ModelParams().regions[1]),
@@ -125,50 +138,24 @@ class RunConfig:
         lineno = self.entries[(section, key)][1]
         return f"{self.path}:{lineno}"
 
-    def _resolve_float(self, flag_value, section, key, default) -> float:
-        if flag_value is not None:
-            return float(flag_value)
+    def _value(self, flag, section, key, default, parse, what):
+        """The flag value if one was given, else the config value converted
+        by ``parse``, else ``default``.  A config value that ``parse``
+        rejects with ValueError is a ConfigError at its file and line."""
+        if flag is not None:
+            return flag
         raw = self._raw(section, key)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self._anchor(section, key)}: {key} must be a number") from exc
-
-    def _resolve_int(self, flag_value, section, key, default) -> int:
-        if flag_value is not None:
-            return int(flag_value)
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._anchor(section, key)}: {key} must be an integer") from exc
-
-    def _resolve_bool(self, section, key, default) -> bool:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self._anchor(section, key)}: {key} must be a boolean")
+            raise ConfigError(f"{self._anchor(section, key)}: {key} must be {what}") from exc
 
     def _resolve_seed(self, args) -> int:
-        if args.seed is not None:
-            return int(args.seed)
-        raw = self._raw("experiment", "master_seed")
-        if raw is not None:
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{self._anchor('experiment', 'master_seed')}: master_seed must be an integer"
-                ) from exc
+        seed = self._value(args.seed, "experiment", "master_seed", None, int, "an integer")
+        if seed is not None:
+            return seed
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
@@ -222,26 +209,17 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self._anchor('regions', key)}: {exc}") from exc
 
-    def _float_list(self, section, key, default):
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(p) for p in raw.split())
-        except ValueError as exc:
-            raise ConfigError(f"{self._anchor(section, key)}: {key} must be numbers") from exc
-
     def classify_config(self) -> ClassifyConfig:
         kwargs = {"master_seed": self.master_seed}
         for key in ("n_qf", "n_nosig", "n_locality", "n_eff"):
-            raw = self._raw("classify", key)
-            if raw is not None:
-                kwargs[key] = self._resolve_int(None, "classify", key, None)
-        frames = self._float_list("classify", "frames_probe", None)
+            value = self._value(None, "classify", key, None, int, "an integer")
+            if value is not None:
+                kwargs[key] = value
+        frames = self._value(None, "classify", "frames_probe", None, _floats, "numbers")
         if frames is not None:
             kwargs["frames_probe"] = tuple(Frame(chi) for chi in frames)
-        a_grid = self._float_list("classify", "a_grid", None)
-        b_grid = self._float_list("classify", "b_grid", None)
+        a_grid = self._value(None, "classify", "a_grid", None, _floats, "numbers")
+        b_grid = self._value(None, "classify", "b_grid", None, _floats, "numbers")
         if a_grid is not None and b_grid is not None:
             kwargs["qf_grid"] = tuple((a, b) for a in a_grid for b in b_grid)
         return ClassifyConfig(**kwargs)
@@ -249,9 +227,11 @@ class RunConfig:
     def certify_config(self) -> CertifyConfig:
         return CertifyConfig(
             params=self.params,
-            k_max=self._resolve_int(None, "certify", "k_max", 2),
-            theta=self._resolve_float(None, "certify", "theta", math.pi / 3),
-            witness_samples=self._resolve_int(None, "certify", "witness_samples", 1000),
+            k_max=self._value(None, "certify", "k_max", 2, int, "an integer"),
+            theta=self._value(None, "certify", "theta", math.pi / 3, float, "a number"),
+            witness_samples=self._value(
+                None, "certify", "witness_samples", 1000, int, "an integer"
+            ),
             master_seed=self.master_seed,
         )
 

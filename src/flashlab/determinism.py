@@ -25,7 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
-from .models import ExperimentRun, InconclusiveRunError, ModelParams, _simulate_run
+from .models import (
+    ExperimentRun, InconclusiveRunError, ModelParams, _poisson_cdf_table, _simulate_run,
+)
 from .quantum import SettingPair
 from .randomness import BitSource, mix_seed, random_bits
 
@@ -434,7 +436,6 @@ class CertifyConfig:
     theta: float = math.pi / 3
     witness_samples: int = 1000
     master_seed: int = 1
-    bit_budget: int = DEFAULT_BIT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -499,8 +500,14 @@ def no_effectively_causal_nonlocal_determinism_check(
     )
     wigner = wigner_check(filtered, theta)
 
-    j = JanusRealization(Frame(0.0), config.params, config.bit_budget)
+    # enough bits for the most uniforms one run can draw, 2 + 3 (nA + nB),
+    # as a count never exceeds the length of its Poisson table
     ra, rb = config.params.regions
+    n_max = sum(
+        len(_poisson_cdf_table(config.params.flash_rate * (r.t_max - r.t_min))) for r in (ra, rb)
+    )
+    bit_budget = max(DEFAULT_BIT_BUDGET, 32 * (2 + 3 * n_max))
+    j = JanusRealization(Frame(0.0), config.params, bit_budget)
     flip_frame = order_flip_rapidity(ra.center(), rb.center())
     witness = past_influence_probe(
         j, flip_frame, config.witness_samples, config.master_seed

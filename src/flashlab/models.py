@@ -30,7 +30,9 @@ bit-string realizations of the same law possible.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -148,28 +150,20 @@ class OutcomeDistribution:
 
 
 def _poisson_inverse(u: float, mean: float) -> int:
-    """Poisson sample by CDF inversion of a single uniform.
-
-    The loop also stops once the term underflows to zero, where the partial
-    sum can no longer grow: rounding can leave it below 1 - 1e-15 for ever.
-    """
-    k = 0
-    p = math.exp(-mean)
-    cdf = p
-    while u >= cdf:
-        k += 1
-        p *= mean / k
-        cdf += p
-        if p == 0.0 or (p < 1e-18 and cdf >= 1.0 - 1e-15):
-            break
-    return k
+    """Poisson sample by CDF inversion of a single uniform: the number of
+    partial sums in ``_poisson_cdf_table(mean)`` that are <= u."""
+    return bisect.bisect_right(_poisson_cdf_table(mean), u)
 
 
-def _poisson_cdf_table(mean: float) -> np.ndarray:
-    """The partial sums _poisson_inverse compares u against, up to its break.
+@functools.lru_cache(maxsize=64)
+def _poisson_cdf_table(mean: float) -> tuple[float, ...]:
+    """The Poisson partial sums P(N <= k), k = 0, 1, ..., that a uniform is
+    compared against, summed term by term in this order.
 
-    With the same recurrence, ``searchsorted(table, u, side="right")``
-    equals ``_poisson_inverse(u, mean)`` for every u.
+    The table ends where the recurrence stops: once the term underflows to
+    zero, where the partial sum can no longer grow (rounding can leave it
+    below 1 - 1e-15 for ever), or once the term is negligible and the sum
+    is within 1e-15 of 1.  A count never exceeds the table's length.
     """
     k = 0
     p = math.exp(-mean)
@@ -180,7 +174,7 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
         p *= mean / k
         cdf += p
         if p == 0.0 or (p < 1e-18 and cdf >= 1.0 - 1e-15):
-            return np.array(table)
+            return tuple(table)
         table.append(cdf)
 
 

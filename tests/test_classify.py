@@ -18,7 +18,13 @@ from flashlab.classify import (
     test_qf as qf_test,
 )
 from flashlab.minkowski import Frame
-from flashlab.models import ModelId, ModelParams, run_local_hv
+from flashlab.models import (
+    InconclusiveRunError,
+    ModelId,
+    ModelParams,
+    run_local_hv,
+    run_preferred_frame,
+)
 from flashlab.quantum import Outcome
 
 FAST = ClassifyConfig(master_seed=97, n_qf=1200, n_nosig=2000, n_locality=2000, n_eff=800)
@@ -121,6 +127,30 @@ def test_effective_tests_need_both_orderings():
         eff_locality_test(ModelId.RGRWF, params, one_sided, n=50, master_seed=1)
     with pytest.raises(ValueError, match="both ways"):
         eff_causality_test(ModelId.RGRWF, params, one_sided, n=50, master_seed=1)
+
+
+def _blind_at_half(settings, frame, seed, params=None, record_trace=True):
+    """preferred_frame, except that every run in frame 0.5 is inconclusive."""
+    if frame.rapidity == 0.5:
+        raise InconclusiveRunError(("A", "B"), ())
+    return run_preferred_frame(settings, frame, seed, params, record_trace)
+
+
+def test_probe_without_conclusive_pairs_is_skipped():
+    # The frame-0.5 probe has no conclusive pair, so its fraction is NaN.
+    # It comes first in its direction and first overall, where a fold that
+    # let NaN through would return it; both statistics skip it instead.
+    params = ModelParams()
+    frames = (Frame(0.5), Frame(1.0), Frame(-0.5), Frame(-1.0))
+    loc = eff_locality_test(_blind_at_half, params, frames, n=60, master_seed=3)
+    assert math.isnan(loc.details["probes"][0]["fraction"])
+    assert loc.details["directions"] == {"A->B": 13 / 58, "B->A": 13 / 60}
+    assert (loc.statistic, loc.verdict) == (13 / 58, "inconclusive")
+    causal = eff_causality_test(_blind_at_half, params, frames, n=60, master_seed=3)
+    assert [(p["flips"], p["pairs"], p["dropped"]) for p in causal.details["probes"]] == [
+        (0, 0, 60), (12, 59, 1), (8, 58, 2), (17, 60, 0)
+    ]
+    assert (causal.statistic, causal.verdict) == (17 / 60, "inconclusive")
 
 
 def test_default_frames_probe_orders_both_ways():

@@ -185,6 +185,16 @@ def test_certify_and_reports(tmp_path, capsys):
     assert "born" in capsys.readouterr().out
 
 
+def test_certify_sizes_the_janus_budget_from_the_flash_rate(tmp_path, capsys):
+    # a fixed 8192-bit budget ran out at this rate ("bit budget exhausted")
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text("[experiment]\nflash_rate = 45\n")
+    assert run_cli("certify", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "certificate.json").read_text())
+    # 116 partial sums per region's Poisson table at mean 45: 2 + 3 * 232 uniforms
+    assert payload["janus_witness"]["n_bits"] == 32 * (2 + 3 * 232)
+
+
 def test_report_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{\"neither\": true}")
