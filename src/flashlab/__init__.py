@@ -53,6 +53,7 @@ from .minkowski import (
 from .models import (
     ExperimentRun,
     Flash,
+    FlashEnsemble,
     InconclusiveRunError,
     ModelId,
     ModelParams,

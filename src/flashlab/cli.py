@@ -22,7 +22,13 @@ from pathlib import Path
 from .classify import ClassifyConfig, classify, params_digest
 from .determinism import CertifyConfig, no_effectively_causal_nonlocal_determinism_check
 from .minkowski import Frame, Region
-from .models import ModelId, ModelParams, outcome_distribution, seeded_runs, write_flash_csv
+from .models import (
+    FlashEnsemble,
+    ModelId,
+    ModelParams,
+    outcome_distribution,
+    write_flash_csv,
+)
 from .quantum import PureState, SettingPair, born_joint, chsh_value, singlet
 
 import numpy as np
@@ -105,10 +111,7 @@ class RunConfig:
         self.a = self._value(args.a, "experiment", "a", 0.0, float, "a number")
         self.b = self._value(args.b, "experiment", "b", 0.0, float, "a number")
         self.frame = Frame(self._value(args.frame, "experiment", "frame", 0.0, float, "a number"))
-        self.n = self._value(args.n, "experiment", "n", 10_000, int, "an integer")
-        if self.n < 1:
-            anchor = "--n" if args.n is not None else self._anchor("experiment", "n")
-            raise ConfigError(f"{anchor}: n must be >= 1, got {self.n}")
+        self.n = self._count(args.n, "experiment", "n", 10_000, 1)
         self.master_seed = self._resolve_seed(args)
         self.flash_rate = self._value(None, "experiment", "flash_rate", 5.0, float, "a number")
         self.epsilon = self._value(None, "experiment", "epsilon", 0.0, float, "a number")
@@ -151,6 +154,14 @@ class RunConfig:
             return parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{self._anchor(section, key)}: {key} must be {what}") from exc
+
+    def _count(self, flag, section, key, default, minimum):
+        """An integer ``_value`` that must be at least ``minimum``."""
+        value = self._value(flag, section, key, default, int, "an integer")
+        if value is not None and value < minimum:
+            anchor = f"--{key}" if flag is not None else self._anchor(section, key)
+            raise ConfigError(f"{anchor}: {key} must be >= {minimum}, got {value}")
+        return value
 
     def _resolve_seed(self, args) -> int:
         seed = self._value(args.seed, "experiment", "master_seed", None, int, "an integer")
@@ -212,7 +223,7 @@ class RunConfig:
     def classify_config(self) -> ClassifyConfig:
         kwargs = {"master_seed": self.master_seed}
         for key in ("n_qf", "n_nosig", "n_locality", "n_eff"):
-            value = self._value(None, "classify", key, None, int, "an integer")
+            value = self._count(None, "classify", key, None, 1)
             if value is not None:
                 kwargs[key] = value
         frames = self._value(None, "classify", "frames_probe", None, _floats, "numbers")
@@ -227,11 +238,9 @@ class RunConfig:
     def certify_config(self) -> CertifyConfig:
         return CertifyConfig(
             params=self.params,
-            k_max=self._value(None, "certify", "k_max", 2, int, "an integer"),
+            k_max=self._count(None, "certify", "k_max", 2, 0),
             theta=self._value(None, "certify", "theta", math.pi / 3, float, "a number"),
-            witness_samples=self._value(
-                None, "certify", "witness_samples", 1000, int, "an integer"
-            ),
+            witness_samples=self._count(None, "certify", "witness_samples", 1000, 1),
             master_seed=self.master_seed,
         )
 
@@ -278,18 +287,10 @@ def cmd_run(cfg: RunConfig) -> int:
         counts, inconclusive = dist.counts, dist.n_inconclusive
     else:
         # same seeds and counting as outcome_distribution, streaming flashes
-        counts = {c: 0 for c in OUTCOME_KEYS}
-
-        def runs():
-            for i, (run,) in seeded_runs(
-                cfg.model, [pair], cfg.frame, cfg.params, cfg.n, cfg.master_seed
-            ):
-                counts[(run.outcome.alpha, run.outcome.beta)] += 1
-                yield i, run
-
+        flashes = FlashEnsemble(cfg.model, pair, cfg.frame, cfg.params, cfg.n, cfg.master_seed)
         with _atomic_output(csv_path) as tmp:
-            write_flash_csv(tmp, runs())
-        inconclusive = cfg.n - sum(counts.values())
+            write_flash_csv(tmp, flashes)
+        counts, inconclusive = flashes.counts, flashes.inconclusive
 
     conclusive = cfg.n - inconclusive
     if conclusive == 0:
@@ -451,16 +452,12 @@ def main(argv=None) -> int:
         return cmd_report(args.path)
     try:
         cfg = RunConfig(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "classify":
             return cmd_classify(cfg)
         return cmd_certify(cfg)
-    except (ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,6 @@ bit-string realizations of the same law possible.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .minkowski import Event, Frame, Region, boost_time, regions_spacelike
+from .minkowski import Event, Frame, Region, regions_spacelike
 from .quantum import Outcome, PureState, SettingPair, singlet
 from .randomness import GeneratorSource, PCG64Streams, mix_seed, mix_seeds
 
@@ -409,19 +408,12 @@ def run_local_hv(
     return _run_model(ModelId.LOCAL_HV, settings, frame, seed, params, record_trace)
 
 
+# The scalar runner of each model; perfbench/tracing.py times them through it.
 _RUNNERS: dict[ModelId, Callable] = {
     ModelId.RGRWF: run_rgrwf,
     ModelId.PREFERRED_FRAME: run_preferred_frame,
     ModelId.LOCAL_HV: run_local_hv,
 }
-
-
-def get_runner(model) -> Callable:
-    """Resolve a ModelId (or its string value, or a custom runner callable)
-    to a runner with signature (settings, frame, seed, params, record_trace)."""
-    if callable(model) and not isinstance(model, ModelId):
-        return model
-    return _RUNNERS[ModelId(model)]
 
 
 def outcome_distribution(
@@ -473,7 +465,12 @@ def ensemble(
     joint = np.zeros((len(OUTCOME_CELLS),) * len(pairs), dtype=np.int64)
     inconclusive = 0
     if callable(model) and not isinstance(model, ModelId):
-        for _, runs in seeded_runs(model, pairs, frame, params, n, master_seed):
+        for i in range(n):
+            seed = mix_seed(master_seed, i)
+            try:
+                runs = [model(pair, frame, seed, params, record_trace=False) for pair in pairs]
+            except InconclusiveRunError:
+                continue
             joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
         return joint, n - int(joint.sum())
     model = ModelId(model)
@@ -487,27 +484,11 @@ def ensemble(
     return joint, inconclusive
 
 
-def seeded_runs(model, arms, frame: Frame, params: ModelParams | None, n: int, master_seed: int):
-    """Yield ``(i, runs)`` for each i in range(n) whose seed mix_seed(master_seed,
-    i) gives a conclusive run under every settings arm, ``runs`` holding one
-    ExperimentRun per arm (traces not recorded).  Inconclusive seeds are
-    skipped, so n minus the number yielded counts them."""
-    runner = get_runner(model)
-    pairs = [_coerce_pair(s) for s in arms]
-    for i in range(n):
-        seed = mix_seed(master_seed, i)
-        try:
-            runs = tuple(runner(pair, frame, seed, params, record_trace=False) for pair in pairs)
-        except InconclusiveRunError:
-            continue
-        yield i, runs
-
-
 # --- ensemble kernel ---------------------------------------------------------
 #
-# _kernel_block replays _simulate_run for a block of seeds at once, keeping
-# only the outcome.  Each run's uniforms come from PCG64Streams in the
-# order _simulate_run draws them:
+# The kernel replays _simulate_run for a block of seeds at once.  Each
+# run's uniforms come from PCG64Streams in the order _simulate_run draws
+# them:
 #
 #   0                 count of region A (nA)
 #   1 .. nA           A times, unsorted;  then nA A positions, in time order
@@ -515,12 +496,17 @@ def seeded_runs(model, arms, frame: Frame, params: ModelParams | None, n: int, m
 #   2 + 2(nA + nB)    channel draws in processing order (or lambda and the
 #                     mechanism for local_hv)
 #
-# The collapse uses the same real operations in the same order as the
-# scalar complex arithmetic, so every probability compared against a
-# uniform is the same double.  A run's outcome is fixed once both regions
-# have drawn their first channel, so later draws are never made.
+# _Patterns is the stage both paths share: the flash counts, the sorted
+# times, the positions and a frame's time order.  The outcome path
+# (_kernel_block) stops the collapse once both regions have drawn their
+# first channel, since later draws cannot change the outcome; the flash
+# path (_flash_block) collapses every flash.  The collapse uses the same
+# real operations in the same order as the scalar complex arithmetic, so
+# every probability compared against a uniform is the same double.
 
 _KERNEL_BLOCK = 4096
+# Smaller, because each flash row becomes Python objects in the CSV writer.
+_FLASH_BLOCK = 512
 
 
 def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -529,79 +515,242 @@ def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.take_along_axis(u, np.minimum(columns, u.shape[1] - 1), axis=1)
 
 
+class _Patterns:
+    """The flash patterns of a block of runs, one row per run.
+
+    ``u`` holds the uniforms drawn so far, ``n_a`` and ``n_b`` the flash
+    counts and ``base`` the column of the first channel draw.
+    """
+
+    def __init__(self, params: ModelParams, seeds: np.ndarray):
+        self.params = params
+        self._streams = PCG64Streams(seeds)
+        self.u = self._streams.random(1)
+        table_a, table_b = (
+            _poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min)) for r in params.regions
+        )
+        self.n_a = np.searchsorted(table_a, self.u[:, 0], side="right")
+        self.draw_to(2 + 2 * int(self.n_a.max()))
+        self.n_b = np.searchsorted(
+            table_b, self.u[np.arange(seeds.size), 1 + 2 * self.n_a], side="right"
+        )
+        self.conclusive = (self.n_a > 0) & (self.n_b > 0)
+        self.base = 2 + 2 * (self.n_a + self.n_b)
+
+    def draw_to(self, width: int) -> np.ndarray:
+        """u, first extended to at least ``width`` uniforms per run."""
+        if width > self.u.shape[1]:
+            self.u = np.hstack([self.u, self._streams.random(width - self.u.shape[1])])
+        return self.u
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(t, x): lab coordinates of each run's flashes in columns A
+        0..nA-1, padding, B 0..nB-1, padding (from column ``width_a``).
+        Times are sorted within a region, so the column is the index, and
+        are inf on padding, so padding sorts last in every frame."""
+        ra, rb = self.params.regions
+        t, x = [], []
+        for region, count, offset in (
+            (ra, self.n_a, np.ones_like(self.n_a)),
+            (rb, self.n_b, 2 + 2 * self.n_a),
+        ):
+            cols = np.arange(int(count.max()))
+            mask = cols < count[:, None]
+            times = region.t_min + (region.t_max - region.t_min) * _gather(
+                self.u, offset[:, None] + cols
+            )
+            t.append(np.sort(np.where(mask, times, np.inf), axis=1))
+            x.append(region.x_min + (region.x_max - region.x_min) * _gather(
+                self.u, (offset + count)[:, None] + cols
+            ))
+        self.width_a = t[0].shape[1]
+        return np.hstack(t), np.hstack(x)
+
+    def hidden_variables(self) -> tuple[np.ndarray, np.ndarray]:
+        """local_hv's (lambda, mechanism bit) of each run."""
+        base = self.base[:, None]
+        self.draw_to(int(self.base[self.conclusive].max()) + 2)
+        return 2.0 * math.pi * _gather(self.u, base)[:, 0], _gather(self.u, base + 1)[:, 0] >= 0.5
+
+    def processing_order(self, t, x, rapidity: float):
+        """Each run's flash columns in the order their channels are drawn
+        (the time order of the frame of ``rapidity``), and which of those
+        are A flashes."""
+        order = _time_order(_frame_times(t, x, rapidity))
+        return order, order < self.width_a
+
+    def decisions(self, pairs, side_a, steps):
+        """Per settings pair, the channel decisions (True for +1) of each
+        run's first steps[run] flashes in processing order, shape (runs,
+        max steps); ``side_a`` marks the A flashes in that order."""
+        self.draw_to(int((self.base + steps).max()))
+        # runs sorted by steps, longest first, so that the runs still
+        # collapsing at step k are a prefix of the rows
+        by_steps = np.argsort(-steps, kind="stable")
+        steps = steps[by_steps]
+        width = int(steps[0])
+        draws = _gather(self.u[by_steps], self.base[by_steps, None] + np.arange(width))
+        live = [int(np.count_nonzero(steps > k)) for k in range(width)]
+        side_a = side_a[by_steps, :width]
+        for pair in pairs:
+            plus = np.empty_like(draws, dtype=bool)
+            plus[by_steps] = _collapse(self.params, pair, side_a, draws, live)
+            yield plus
+
+
+def _frame_times(t: np.ndarray, x: np.ndarray, rapidity: float) -> np.ndarray:
+    """Frame time t cosh(chi) - x sinh(chi) of each flash, as boost_time
+    computes it; inf on padding, as cosh and sinh are finite."""
+    return t * math.cosh(rapidity) - x * math.sinh(rapidity)
+
+
+def _time_order(keys: np.ndarray) -> np.ndarray:
+    # columns run A 0..nA-1, padding, B 0..nB-1, padding, and padding sorts
+    # last; a stable sort on the frame time then breaks ties by region and
+    # index, the (key, rank, idx) order of _simulate_run
+    return np.argsort(keys, axis=1, kind="stable")
+
+
 def _kernel_block(
     model: ModelId, pairs: list[SettingPair], rapidity: float, params: ModelParams, seeds
 ) -> np.ndarray:
     """Outcome cell of each run under each arm, shape (arms, runs), as an
     index into OUTCOME_CELLS; -1 marks an inconclusive run."""
     cells = np.full((len(pairs), seeds.size), -1, dtype=np.intp)
-    streams = PCG64Streams(seeds)
-    u = streams.random(1)
-
-    def draw_to(width: int) -> np.ndarray:
-        return u if width <= u.shape[1] else np.hstack([u, streams.random(width - u.shape[1])])
-
-    ra, rb = params.regions
-    table_a, table_b = (
-        _poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min)) for r in (ra, rb)
-    )
-    n_a = np.searchsorted(table_a, u[:, 0], side="right")
-    u = draw_to(2 + 2 * int(n_a.max()))
-    n_b = np.searchsorted(table_b, u[np.arange(seeds.size), 1 + 2 * n_a], side="right")
-    conclusive = (n_a > 0) & (n_b > 0)
+    block = _Patterns(params, seeds)
+    conclusive = block.conclusive
     if not conclusive.any():
         return cells
-    base = 2 + 2 * (n_a + n_b)  # first channel draw
 
     spec = _MODELS[model]
     if spec.local_channels:
-        u = draw_to(int(base[conclusive].max()) + 2)[conclusive]
-        base = base[conclusive, None]
-        lam = 2.0 * math.pi * _gather(u, base)[:, 0]
-        mech = _gather(u, base + 1)[:, 0] >= 0.5
+        lam, mech = block.hidden_variables()
+        lam, mech = lam[conclusive], mech[conclusive]
         for arm, pair in enumerate(pairs):
             plus_a = _lhv_plus(pair.a.angle, lam, mech)
             plus_b = _lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
             cells[arm, conclusive] = 2 * ~plus_a + plus_b
         return cells
 
-    u = draw_to(int(base[conclusive].max()))
-    ch = math.cosh(rapidity if spec.frame_ordered else 0.0)
-    sh = math.sinh(rapidity if spec.frame_ordered else 0.0)
-    keys = []
-    for region, count, offset in ((ra, n_a, np.ones_like(n_a)), (rb, n_b, 2 + 2 * n_a)):
-        cols = np.arange(int(count.max()))
-        drawn = cols < count[:, None]
-        t = region.t_min + (region.t_max - region.t_min) * _gather(u, offset[:, None] + cols)
-        t = np.sort(np.where(drawn, t, np.inf), axis=1)
-        x = region.x_min + (region.x_max - region.x_min) * _gather(
-            u, (offset + count)[:, None] + cols
-        )
-        keys.append(np.where(drawn, t * ch - x * sh, np.inf))
-    # columns run A 0..nA-1, padding, B 0..nB-1, padding, and padding sorts
-    # last; a stable sort on the frame time then breaks ties by region and
-    # index, the (key, rank, idx) order of _simulate_run
-    order = np.argsort(np.hstack(keys), axis=1, kind="stable")
-    in_a = order < keys[0].shape[1]
+    block.draw_to(int(block.base[conclusive].max()))
+    t, x = block.coordinates()
+    _, in_a = block.processing_order(t, x, rapidity if spec.frame_ordered else 0.0)
     first_a = np.argmax(in_a, axis=1)
     first_b = np.argmax(~in_a, axis=1)
     steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
-    u = draw_to(int((base + steps).max()))
-
-    # conclusive runs sorted by steps, longest first, so that the runs still
-    # collapsing at step k are a prefix of the rows
-    by_steps = np.flatnonzero(conclusive)[np.argsort(-steps[conclusive], kind="stable")]
-    steps = steps[by_steps]
-    width = int(steps[0])
-    side_a = in_a[by_steps, :width]
-    draws = _gather(u[by_steps], base[by_steps, None] + np.arange(width))
-    live = [int(np.count_nonzero(steps > k)) for k in range(width)]
-    first_a, first_b = first_a[by_steps], first_b[by_steps]
-    runs = np.arange(by_steps.size)
-    for arm, pair in enumerate(pairs):
-        plus = _collapse(params, pair, side_a, draws, live)
-        cells[arm, by_steps] = 2 * ~plus[runs, first_a] + ~plus[runs, first_b]
+    runs = np.flatnonzero(conclusive)
+    first_a, first_b = first_a[runs], first_b[runs]
+    for arm, plus in enumerate(block.decisions(pairs, in_a, steps)):
+        cells[arm, runs] = 2 * ~plus[runs, first_a] + ~plus[runs, first_b]
     return cells
+
+
+class FlashBlock(NamedTuple):
+    """The flashes of a block of runs, one array entry per flash.  Runs
+    come in seed order, a run's flashes in report-frame time order (ties
+    A before B, then by index), as in ExperimentRun.flashes; an
+    inconclusive run has none."""
+
+    run_id: np.ndarray
+    region: np.ndarray  # region label
+    index: np.ndarray  # ordinal within its region, lab-time order
+    t_lab: np.ndarray
+    x_lab: np.ndarray
+    t_frame: np.ndarray  # time in the report frame
+    channel: np.ndarray  # +1 or -1
+    cells: np.ndarray  # per run of the block: index into OUTCOME_CELLS, -1 if inconclusive
+
+
+def _flash_block(
+    model: ModelId, pair: SettingPair, frame: Frame, params: ModelParams, seeds, first_id: int
+) -> FlashBlock:
+    """Every flash of each run, with its channel, and each run's outcome."""
+    block = _Patterns(params, seeds)
+    conclusive = block.conclusive
+    steps = np.where(conclusive, block.n_a + block.n_b, 0)
+    cells = np.full(seeds.size, -1, dtype=np.intp)
+    if not conclusive.any():
+        empty = np.empty(0)
+        return FlashBlock(*(empty,) * 7, cells)
+
+    spec = _MODELS[model]
+    if spec.local_channels:
+        lam, mech = block.hidden_variables()
+        plus_a = _lhv_plus(pair.a.angle, lam, mech)
+        plus_b = _lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+        t, x = block.coordinates()
+        plus = np.where(np.arange(t.shape[1]) < block.width_a, plus_a[:, None], ~plus_b[:, None])
+        cells[conclusive] = (2 * ~plus_a + plus_b)[conclusive]
+    else:
+        block.draw_to(int((block.base + steps).max()))
+        t, x = block.coordinates()
+        order, in_a = block.processing_order(
+            t, x, frame.rapidity if spec.frame_ordered else 0.0
+        )
+        (decided,) = block.decisions([pair], in_a, steps)
+        plus = np.zeros(t.shape, dtype=bool)
+        np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
+        runs = np.flatnonzero(conclusive)
+        first_a = np.argmax(in_a[runs], axis=1)
+        first_b = np.argmax(~in_a[runs], axis=1)
+        cells[runs] = 2 * ~decided[runs, first_a] + ~decided[runs, first_b]
+
+    t_frame = _frame_times(t, x, frame.rapidity)
+    report = _time_order(t_frame)
+    run = np.repeat(np.arange(seeds.size), steps)
+    col = report[np.arange(report.shape[1]) < steps[:, None]]
+    in_b = col >= block.width_a
+    return FlashBlock(
+        run_id=first_id + run,
+        region=np.where(in_b, params.regions[1].label, params.regions[0].label),
+        index=col - block.width_a * in_b,
+        t_lab=t[run, col],
+        x_lab=x[run, col],
+        t_frame=t_frame[run, col],
+        channel=np.where(plus[run, col], 1, -1),
+        cells=cells,
+    )
+
+
+class FlashEnsemble:
+    """The flashes of n seeded runs of one settings pair, computed a block
+    of runs at a time as it is iterated.
+
+    Iterating yields FlashBlocks.  Run i uses seed mix_seed(master_seed,
+    i), and every run has the flashes, channels and outcome that
+    ``_simulate_run`` gives it.  ``counts`` and ``inconclusive`` tally the
+    outcomes of the runs of the blocks yielded so far.
+    """
+
+    def __init__(
+        self,
+        model,
+        settings,
+        frame: Frame,
+        params: ModelParams | None = None,
+        n: int = 10_000,
+        master_seed: int = 0,
+    ):
+        self.model = ModelId(model)
+        self.pair = _coerce_pair(settings)
+        self.frame = frame
+        self.params = params if params is not None else ModelParams()
+        self.n = n
+        self.master_seed = master_seed
+        self.counts = dict.fromkeys(OUTCOME_CELLS, 0)
+        self.inconclusive = 0
+
+    def __iter__(self):
+        self.counts = dict.fromkeys(OUTCOME_CELLS, 0)
+        self.inconclusive = 0
+        for start in range(0, self.n, _FLASH_BLOCK):
+            seeds = mix_seeds(self.master_seed, start, min(self.n, start + _FLASH_BLOCK))
+            block = _flash_block(self.model, self.pair, self.frame, self.params, seeds, start)
+            inconclusive, *tally = np.bincount(block.cells + 1, minlength=5).tolist()
+            self.inconclusive += inconclusive
+            for cell, k in zip(OUTCOME_CELLS, tally):
+                self.counts[cell] += k
+            yield block
 
 
 def _lhv_plus(theta: float, lam: np.ndarray, mech: np.ndarray) -> np.ndarray:
@@ -660,30 +809,24 @@ def _collapse(params, pair, side_a, draws, live) -> np.ndarray:
     return plus
 
 
-def write_flash_csv(path, runs) -> int:
-    """Dump per-run flashes to CSV.
+def write_flash_csv(path, blocks) -> int:
+    """Dump flashes to CSV, one row per flash with columns run_id, region,
+    t_lab, x_lab, t_frame, channel, index.  Coordinates are written as
+    the repr of the double, and rows end in CRLF, as csv.writer ends them.
 
-    ``runs`` yields (run_id, ExperimentRun) pairs; one row per flash with
-    columns run_id, region, t_lab, x_lab, t_frame, channel, index.
-    Returns the number of rows written.
+    ``blocks`` yields FlashBlocks, such as a FlashEnsemble does.  Returns
+    the number of rows written.
     """
     rows = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "region", "t_lab", "x_lab", "t_frame", "channel", "index"])
-        for run_id, run in runs:
-            chi = run.frame.rapidity
-            for flash in run.flashes:
-                writer.writerow(
-                    [
-                        run_id,
-                        flash.region,
-                        repr(flash.event.t),
-                        repr(flash.event.x),
-                        repr(boost_time(flash.event.t, flash.event.x, chi)),
-                        flash.channel,
-                        flash.index,
-                    ]
-                )
-                rows += 1
+        fh.write("run_id,region,t_lab,x_lab,t_frame,channel,index\r\n")
+        for block in blocks:
+            columns = (block.run_id, block.region, block.t_lab, block.x_lab, block.t_frame,
+                       block.channel, block.index)
+            fh.write("".join(
+                f"{run_id},{region},{t!r},{x!r},{t_frame!r},{channel},{index}\r\n"
+                for run_id, region, t, x, t_frame, channel, index
+                in zip(*(c.tolist() for c in columns))
+            ))
+            rows += block.run_id.size
     return rows

@@ -97,6 +97,30 @@ def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
 
 
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        ("classify", "n_qf = 10.0", "n_qf must be an integer"),
+        ("classify", "n_qf = 0", "n_qf must be >= 1, got 0"),
+        ("classify", "n_nosig = 0", "n_nosig must be >= 1, got 0"),
+        ("classify", "n_locality = -2", "n_locality must be >= 1, got -2"),
+        ("classify", "n_eff = -3", "n_eff must be >= 1, got -3"),
+        ("certify", "k_max = two", "k_max must be an integer"),
+        ("certify", "k_max = -1", "k_max must be >= 0, got -1"),
+        ("certify", "witness_samples = 0", "witness_samples must be >= 1, got 0"),
+    ],
+)
+def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, command, entry,
+                                                           message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[experiment]\nn = 10\n[{command}]\n{entry}\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:4: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -8,6 +8,9 @@ still passes.  A numpy release that changes SeedSequence, PCG64 or
 ``Generator.random`` fails ``test_pcg64_streams_match_numpy``.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -15,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashlab.minkowski import Frame, Region
+from flashlab.cli import main
+from flashlab.minkowski import Frame, Region, boost_time
 from flashlab.models import (
+    _FLASH_BLOCK,
     OUTCOME_CELLS,
     InconclusiveRunError,
     ModelId,
@@ -204,3 +209,99 @@ def model_params(draw):
 def test_kernel_matches_scalar_property(model, params, chi, angles, master_seed):
     a, b1, b2 = angles
     assert_run_for_run(model, [(a, b1), (a, b2)], Frame(chi), params, 60, master_seed)
+
+
+# --- flash CSV ---------------------------------------------------------------
+
+# spans two flash blocks and is not a multiple of the block size
+CSV_RUNS = _FLASH_BLOCK + 113
+
+
+def scalar_flash_csv(model, pair, frame, params, n, master_seed) -> bytes:
+    """The flash CSV as written from the scalar runs' ExperimentRun.flashes
+    with csv.writer, before the kernel wrote it."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["run_id", "region", "t_lab", "x_lab", "t_frame", "channel", "index"])
+    for i in range(n):
+        try:
+            run = RUNNERS[model](pair, frame, mix_seed(master_seed, i), params,
+                                 record_trace=False)
+        except InconclusiveRunError:
+            continue
+        for flash in run.flashes:
+            writer.writerow([
+                i,
+                flash.region,
+                repr(flash.event.t),
+                repr(flash.event.x),
+                repr(boost_time(flash.event.t, flash.event.x, frame.rapidity)),
+                flash.channel,
+                flash.index,
+            ])
+    return out.getvalue().encode()
+
+
+def first_flash_tally(model, csv_bytes: bytes, n: int):
+    """Outcome counts and inconclusive total read off the CSV: a run's
+    outcome is the channel of each region's first flash in processing
+    order, which is the report order unless the model decides in the lab
+    frame."""
+    rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+    by_run: dict[int, list] = {}
+    for row in rows:
+        by_run.setdefault(int(row["run_id"]), []).append(row)
+    counts = dict.fromkeys(("++", "+-", "-+", "--"), 0)
+    for flashes in by_run.values():
+        if model is ModelId.PREFERRED_FRAME:
+            flashes = sorted(flashes, key=lambda r: (float(r["t_lab"]), r["region"],
+                                                     int(r["index"])))
+        first = {}
+        for row in flashes:
+            first.setdefault(row["region"], int(row["channel"]))
+        counts["+-"[first["A"] < 0] + "+-"[first["B"] < 0]] += 1
+    return counts, n - len(by_run)
+
+
+def assert_csv_matches_scalar(tmp_path, model, pair, chi, params, n, master_seed):
+    state = " ".join(f"{z.real!r},{z.imag!r}" for z in params.state.amplitudes.tolist())
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[experiment]\nmodel = {model.value}\nstate = {state}\na = {pair[0]!r}\n"
+        f"b = {pair[1]!r}\nframe = {chi!r}\nn = {n}\nmaster_seed = {master_seed}\n"
+        f"flash_rate = {params.flash_rate!r}\nepsilon = {params.epsilon!r}\n"
+    )
+    assert main(["run", "--csv", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    got = (tmp_path / f"flashes_{model.value}.csv").read_bytes()
+    want = scalar_flash_csv(model, SettingPair(*pair), Frame(chi), params, n, master_seed)
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        first = next(
+            (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+            min(len(got_lines), len(want_lines)),
+        )
+        pytest.fail(
+            f"{model.value}: CSV differs from line {first} "
+            f"({len(got_lines)} lines, scalar {len(want_lines)})"
+        )
+    payload = json.loads((tmp_path / f"run_{model.value}.json").read_text())
+    counts, inconclusive = first_flash_tally(model, got, n)
+    assert payload["counts"] == counts
+    assert payload["inconclusive"] == inconclusive
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("chi", [-0.7, 0.0, 1.0])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_flash_csv_matches_scalar(tmp_path, capsys, model, chi, epsilon):
+    params = ModelParams(epsilon=epsilon)
+    assert_csv_matches_scalar(tmp_path, model, (0.4, 1.3), chi, params, CSV_RUNS, 29)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("rate", [0.7, 20.0])
+def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, model, rate):
+    params = ModelParams(
+        state=random_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
+    )
+    assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)

@@ -104,18 +104,44 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_run_csv_golden(tmp_path, capsys):
+def _run_csv(tmp_path, model, frame):
     code = main([
-        "run", "--csv", "--model", "rgrwf", "--a", "0", "--b", "1.0472", "--frame", "1",
+        "run", "--csv", "--model", model, "--a", "0", "--b", "1.0472", "--frame", frame,
         "--n", "200", "--seed", "1", "--out", str(tmp_path),
     ])
     assert code == 0
-    payload = json.loads((tmp_path / "run_rgrwf.json").read_text())
+    payload = json.loads((tmp_path / f"run_{model}.json").read_text())
+    return payload, _sha256(tmp_path / f"flashes_{model}.csv")
+
+
+def test_run_csv_golden(tmp_path, capsys):
+    payload, digest = _run_csv(tmp_path, "rgrwf", "1")
     assert payload["counts"] == {"++": 21, "+-": 72, "-+": 77, "--": 29}
     assert payload["inconclusive"] == 1
-    assert _sha256(tmp_path / "flashes_rgrwf.csv") == (
-        "f3b09e024e90b0287fda6dd699a7895cf4727fe7432b96cb637a6b86aeedde42"
-    )
+    assert digest == "f3b09e024e90b0287fda6dd699a7895cf4727fe7432b96cb637a6b86aeedde42"
+
+
+# model -> (frame rapidity, counts, CSV SHA-256); preferred_frame reports
+# its flashes in an order that differs from its decision order
+_RUN_CSV_OTHER = {
+    "preferred_frame": (
+        "-0.7", {"++": 27, "+-": 77, "-+": 72, "--": 23},
+        "42b34e82a8973d57c5e999d642130f50e63b02baab015b45998c6a4799cf39be",
+    ),
+    "local_hv": (
+        "0.5", {"++": 56, "+-": 48, "-+": 40, "--": 55},
+        "a4fd514bcb487fc4a5d17f8e5516405ce2741d67e012053d7893b3ba86824989",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_RUN_CSV_OTHER))
+def test_run_csv_golden_other_models(model, tmp_path, capsys):
+    frame, counts, want = _RUN_CSV_OTHER[model]
+    payload, digest = _run_csv(tmp_path, model, frame)
+    assert payload["counts"] == counts
+    assert payload["inconclusive"] == 1
+    assert digest == want
 
 
 def test_certify_golden(tmp_path, capsys):

@@ -9,6 +9,7 @@ from flashlab.minkowski import Frame, Region, boost_time
 from flashlab.models import (
     DEFAULT_REGION_A,
     DEFAULT_REGION_B,
+    FlashEnsemble,
     InconclusiveRunError,
     ModelId,
     ModelParams,
@@ -270,12 +271,7 @@ def test_epsilon_softening_allows_channel_breaks():
 
 def test_write_flash_csv(tmp_path):
     path = tmp_path / "flashes.csv"
-    runs = []
-    for i in range(5):
-        try:
-            runs.append((i, run_rgrwf((0.0, 1.0), Frame(0.3), mix_seed(43, i))))
-        except InconclusiveRunError:
-            continue
+    runs = FlashEnsemble(ModelId.RGRWF, (0.0, 1.0), Frame(0.3), n=5, master_seed=43)
     rows = write_flash_csv(path, runs)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "run_id,region,t_lab,x_lab,t_frame,channel,index"
