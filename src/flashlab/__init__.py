@@ -12,7 +12,6 @@ causal.
 from .classify import (
     ClassificationReport,
     ClassifyConfig,
-    SampleSet,
     TestResult,
     classify,
     default_frames_probe,

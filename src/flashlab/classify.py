@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 from .minkowski import Frame, order_flip_rapidity, region_frame_order
-from .models import OUTCOME_CELLS, ModelParams, ensemble
-from .quantum import SettingPair, born_joint
+from .models import OUTCOME_CELLS, ModelParams, OutcomeDistribution, _coerce_pair, ensemble
+from .quantum import CHSH_ANGLES, born_joint, flip_arms
 from .randomness import mix_seed
 from .stats import bonferroni, chi2_gof, chi2_homogeneity
 
@@ -41,6 +41,7 @@ TEST_NAMES = (
 )
 
 _MAX_INCONCLUSIVE_FRACTION = 0.05
+_ALPHA = 1e-3  # significance of the chi-square verdicts
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,6 @@ class TestResult:
     p_bound: float
     verdict: str
     details: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Outcome counts for one (model, settings, frame) cell."""
-
-    cell_counts: tuple[int, ...]  # conclusive runs per OUTCOME_CELLS entry
-    n_inconclusive: int
-
-    @property
-    def n(self) -> int:
-        return sum(self.cell_counts) + self.n_inconclusive
-
-    def counts(self) -> list[int]:
-        return list(self.cell_counts)
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ _QUARTER = math.pi / 4
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Sample sizes and probe geometry for one classification report.
+    """Sample sizes, qf grid and probe frames for one classification report.
 
     Defaults are sized so that each verdict is wrong with probability
     well below 1e-2 per report: the chi-square tests run at significance
@@ -127,15 +113,11 @@ class ClassifyConfig:
     qf_grid: tuple = tuple(
         (a, b) for a in (0.0, _QUARTER, 2 * _QUARTER) for b in (0.0, _QUARTER, 2 * _QUARTER)
     )
-    chsh_angles: tuple = (0.0, math.pi / 2, _QUARTER, 3 * _QUARTER)
     n_qf: int = 2500
     n_nosig: int = 3000
     n_locality: int = 3000
     n_eff: int = 1500
-    alpha: float = 1e-3
     frames_probe: tuple | None = None  # default built from the region geometry
-    probe_settings: tuple = (0.0, math.pi / 2)  # the two frame-later settings
-    probe_fixed: float = 0.0  # the frame-earlier region's own setting
 
 
 def default_frames_probe(params: ModelParams) -> tuple[Frame, ...]:
@@ -163,16 +145,18 @@ def params_digest(params: ModelParams) -> str:
 
 def collect_samples(
     model, params: ModelParams, settings, frame: Frame, n: int, master_seed: int
-) -> SampleSet:
-    """Run the model n times with counter-derived seeds."""
+) -> OutcomeDistribution:
+    """Run the model n times with counter-derived seeds; unlike
+    outcome_distribution, all n runs may be inconclusive."""
     counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
-    return SampleSet(tuple(counts.tolist()), inconclusive)
+    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, counts.tolist())), n, inconclusive)
 
 
 def _sample_cells(
     model, params: ModelParams, pairs, n: int, master_seed: int, frame: Frame = Frame(0.0)
-) -> list[SampleSet]:
-    """One SampleSet per settings pair, pair i seeded with mix_seed(master_seed, i)."""
+) -> list[OutcomeDistribution]:
+    """One OutcomeDistribution per settings pair, pair i seeded with
+    mix_seed(master_seed, i)."""
     return [
         collect_samples(model, params, pair, frame, n, mix_seed(master_seed, i))
         for i, pair in enumerate(pairs)
@@ -187,60 +171,47 @@ def _gated(ok: bool, dropped: int, total: int) -> str:
     return PASS if ok else FAIL
 
 
-def test_qf(
-    model,
-    params: ModelParams,
-    settings_grid,
-    n: int,
-    master_seed: int,
-    alpha: float = 1e-3,
-) -> TestResult:
+def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int) -> TestResult:
     """Goodness of fit against the Born joint law over a settings grid.
 
     statistic = smallest Bonferroni-adjusted p-value across grid cells;
-    pass iff statistic >= alpha.
+    pass iff statistic >= 1e-3.
     """
-    grid = [c if isinstance(c, SettingPair) else SettingPair(*c) for c in settings_grid]
+    grid = [_coerce_pair(c) for c in settings_grid]
     if not grid:
         raise ValueError("settings grid must be nonempty")
     sets = _sample_cells(model, params, grid, n, master_seed)
     p_values = []
     for pair, sample in zip(grid, sets):
         expected = born_joint(params.state, pair)
-        p_values.append(chi2_gof(sample.counts(), [expected[c] for c in OUTCOME_CELLS]).p_value)
+        observed = [sample.counts[c] for c in OUTCOME_CELLS]
+        p_values.append(chi2_gof(observed, [expected[c] for c in OUTCOME_CELLS]).p_value)
     p_adj = bonferroni(p_values)
     return TestResult(
         "qf_agreement",
         statistic=p_adj,
-        threshold=alpha,
+        threshold=_ALPHA,
         p_bound=p_adj,
-        verdict=_gated(p_adj >= alpha, sum(s.n_inconclusive for s in sets), n * len(sets)),
+        verdict=_gated(p_adj >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
         details={"cells": len(grid), "p_values": p_values},
     )
 
 
-def test_no_signalling(
-    model,
-    params: ModelParams,
-    n: int,
-    master_seed: int,
-    angles: tuple = (0.0, math.pi / 2, _QUARTER, 3 * _QUARTER),
-    alpha: float = 1e-3,
-) -> TestResult:
-    """Marginal homogeneity across distant settings.
+def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
+    """Marginal homogeneity across distant settings, at the CHSH angles.
 
     Side A's outcome counts are compared across b vs b' (a fixed), side
     B's across a vs a' (b fixed), each with a two-sample chi-square.
-    statistic = smallest p-value; pass iff statistic >= alpha.
+    statistic = smallest p-value; pass iff statistic >= 1e-3.
     """
-    a, a_p, b, b_p = angles
+    a, a_p, b, b_p = CHSH_ANGLES
     sets = _sample_cells(model, params, [(a, b), (a, b_p), (a_p, b)], n, master_seed)
-    ab, ab_p, a_p_b = (s.counts() for s in sets)
+    ab, ab_p, a_p_b = sets
 
-    def marginal(counts, side):
-        if side == "A":
-            return [counts[0] + counts[1], counts[2] + counts[3]]
-        return [counts[0] + counts[2], counts[1] + counts[3]]
+    def marginal(sample, side):
+        """Counts of +1 and of -1 on one side."""
+        k = 0 if side == "A" else 1
+        return [sum(c for cell, c in sample.counts.items() if cell[k] == s) for s in (1, -1)]
 
     comparisons = {
         "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
@@ -250,9 +221,9 @@ def test_no_signalling(
     return TestResult(
         "no_signalling",
         statistic=p_min,
-        threshold=alpha,
+        threshold=_ALPHA,
         p_bound=p_min,
-        verdict=_gated(p_min >= alpha, sum(s.n_inconclusive for s in sets), n * len(sets)),
+        verdict=_gated(p_min >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
         details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
     )
 
@@ -272,29 +243,23 @@ def chsh_estimate(
     s_hat = 0.0
     var = 0.0
     for sign, sample in zip((+1, -1, +1, +1), sets):
-        counts = sample.counts()
-        m = sum(counts)
+        m = sample.n_conclusive
         if m == 0:
             raise RuntimeError("no conclusive runs for CHSH estimation")
-        e = (counts[0] + counts[3] - counts[1] - counts[2]) / m
+        e = sample.correlator()
         s_hat += sign * e
         var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
     return s_hat, math.sqrt(var)
 
 
-def test_locality(
-    model,
-    params: ModelParams,
-    n: int,
-    master_seed: int,
-    angles: tuple = (0.0, math.pi / 2, _QUARTER, 3 * _QUARTER),
-) -> TestResult:
-    """CHSH against the local bound with 5-sigma decision bands.
+def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
+    """CHSH at the CHSH angles against the local bound with 5-sigma
+    decision bands.
 
     statistic = |S_hat|, threshold = 2.  fail (not local) iff
     |S_hat| > 2 + 5 se; pass iff |S_hat| < 2 - 5 se; inconclusive between.
     """
-    s_hat, se = chsh_estimate(model, params, angles, n, master_seed)
+    s_hat, se = chsh_estimate(model, params, CHSH_ANGLES, n, master_seed)
     stat = abs(s_hat)
     if stat > 2.0 + 5.0 * se:
         verdict = FAIL
@@ -316,27 +281,16 @@ def test_locality(
 
 
 def paired_flip_fraction(
-    model,
-    params: ModelParams,
-    frame: Frame,
-    earlier: str,
-    later_settings: tuple[float, float],
-    fixed_setting: float,
-    n: int,
-    master_seed: int,
+    model, params: ModelParams, frame: Frame, earlier: str, n: int, master_seed: int
 ) -> dict:
     """Seed-paired dependence probe for one frame and one direction.
 
     Runs the model twice per seed, changing only the frame-later region's
-    setting, and counts how often the frame-earlier region's outcome
-    differs.  A model whose outcome function does not read the distant
-    setting gives exactly zero flips.
+    setting (quantum.flip_arms), and counts how often the frame-earlier
+    region's outcome differs.  A model whose outcome function does not
+    read the distant setting gives exactly zero flips.
     """
-    arms = [
-        (setting, fixed_setting) if earlier == "B" else (fixed_setting, setting)
-        for setting in later_settings
-    ]
-    joint, dropped = ensemble(model, arms, frame, params, n, master_seed)
+    joint, dropped = ensemble(model, flip_arms(earlier), frame, params, n, master_seed)
     side = 1 if earlier == "B" else 0
     pairs = int(joint.sum())
     flips = sum(
@@ -356,8 +310,7 @@ def paired_flip_fraction(
 
 
 def _flip_sweep(
-    model, params: ModelParams, frames_probe, n: int, master_seed: int,
-    probe_settings: tuple[float, float], probe_fixed: float, first_index: int,
+    model, params: ModelParams, frames_probe, n: int, master_seed: int, first_index: int
 ) -> list[dict]:
     """paired_flip_fraction in each probe frame that orders the region
     boxes, probe k seeded with mix_seed(master_seed, first_index + k).
@@ -376,8 +329,7 @@ def _flip_sweep(
         )
     return [
         paired_flip_fraction(
-            model, params, frame, earlier, probe_settings, probe_fixed,
-            n, mix_seed(master_seed, first_index + k),
+            model, params, frame, earlier, n, mix_seed(master_seed, first_index + k)
         )
         for k, (frame, earlier) in enumerate(ordered)
     ]
@@ -393,13 +345,7 @@ def _flip_result(name: str, stat: float, probes: list[dict], details: dict) -> T
 
 
 def test_effective_locality(
-    model,
-    params: ModelParams,
-    frames_probe,
-    n: int,
-    master_seed: int,
-    probe_settings: tuple[float, float] = (0.0, math.pi / 2),
-    probe_fixed: float = 0.0,
+    model, params: ModelParams, frames_probe, n: int, master_seed: int
 ) -> TestResult:
     """No *effective* transmission between the regions.
 
@@ -410,9 +356,7 @@ def test_effective_locality(
     direction's best flip fraction, threshold = 0; pass iff statistic = 0
     for both directions.
     """
-    probes = _flip_sweep(
-        model, params, frames_probe, n, master_seed, probe_settings, probe_fixed, 0
-    )
+    probes = _flip_sweep(model, params, frames_probe, n, master_seed, 0)
     per_direction = {}
     detail = []
     for direction, receiver in (("A->B", "B"), ("B->A", "A")):
@@ -426,13 +370,7 @@ def test_effective_locality(
 
 
 def test_effective_causality(
-    model,
-    params: ModelParams,
-    frames_probe,
-    n: int,
-    master_seed: int,
-    probe_settings: tuple[float, float] = (0.0, math.pi / 2),
-    probe_fixed: float = 0.0,
+    model, params: ModelParams, frames_probe, n: int, master_seed: int
 ) -> TestResult:
     """The frame-earlier region never depends on the frame-later setting.
 
@@ -441,9 +379,7 @@ def test_effective_causality(
     conclusive pair are skipped), threshold = 0; pass iff zero flips
     everywhere.
     """
-    probes = _flip_sweep(
-        model, params, frames_probe, n, master_seed, probe_settings, probe_fixed, 1000
-    )
+    probes = _flip_sweep(model, params, frames_probe, n, master_seed, 1000)
     worst = max([0.0, *(p["fraction"] for p in probes if not math.isnan(p["fraction"]))])
     return _flip_result("effective_causality", worst, probes, {"probes": probes})
 
@@ -462,22 +398,17 @@ def classify(
     seeds = {name: mix_seed(config.master_seed, 101 + i) for i, name in enumerate(TEST_NAMES)}
     results = {
         "qf_agreement": test_qf(
-            model, params, config.qf_grid, config.n_qf, seeds["qf_agreement"], config.alpha
+            model, params, config.qf_grid, config.n_qf, seeds["qf_agreement"]
         ),
         "no_signalling": test_no_signalling(
-            model, params, config.n_nosig, seeds["no_signalling"],
-            config.chsh_angles, config.alpha,
+            model, params, config.n_nosig, seeds["no_signalling"]
         ),
-        "locality": test_locality(
-            model, params, config.n_locality, seeds["locality"], config.chsh_angles
-        ),
+        "locality": test_locality(model, params, config.n_locality, seeds["locality"]),
         "effective_locality": test_effective_locality(
-            model, params, frames, config.n_eff, seeds["effective_locality"],
-            config.probe_settings, config.probe_fixed,
+            model, params, frames, config.n_eff, seeds["effective_locality"]
         ),
         "effective_causality": test_effective_causality(
-            model, params, frames, config.n_eff, seeds["effective_causality"],
-            config.probe_settings, config.probe_fixed,
+            model, params, frames, config.n_eff, seeds["effective_causality"]
         ),
     }
     sample_sizes = {

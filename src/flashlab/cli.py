@@ -23,17 +23,18 @@ from .classify import ClassifyConfig, classify, params_digest
 from .determinism import CertifyConfig, no_effectively_causal_nonlocal_determinism_check
 from .minkowski import Frame, Region
 from .models import (
+    OUTCOME_CELLS,
     FlashEnsemble,
     ModelId,
     ModelParams,
     outcome_distribution,
     write_flash_csv,
 )
-from .quantum import PureState, SettingPair, born_joint, chsh_value, singlet
+from .quantum import CHSH_ANGLES, PureState, SettingPair, born_joint, chsh_value, singlet
 
 import numpy as np
 
-OUTCOME_KEYS = {(1, 1): "++", (1, -1): "+-", (-1, 1): "-+", (-1, -1): "--"}
+OUTCOME_KEYS = dict(zip(OUTCOME_CELLS, ("++", "+-", "-+", "--")))
 SEED_ENV_VAR = "FLASHLAB_SEED"
 
 _KNOWN_KEYS = {
@@ -236,10 +237,17 @@ class RunConfig:
         return ClassifyConfig(**kwargs)
 
     def certify_config(self) -> CertifyConfig:
+        k_max = self._count(None, "certify", "k_max", 2, 0)
+        theta = self._value(None, "certify", "theta", math.pi / 3, float, "a number")
+        # the quantum values violate the Wigner inequality only inside (0, pi/2)
+        if not 0.0 < theta < math.pi / 2:
+            raise ConfigError(
+                f"{self._anchor('certify', 'theta')}: theta must lie in (0, pi/2), got {theta}"
+            )
         return CertifyConfig(
             params=self.params,
-            k_max=self._count(None, "certify", "k_max", 2, 0),
-            theta=self._value(None, "certify", "theta", math.pi / 3, float, "a number"),
+            k_max=k_max,
+            theta=theta,
             witness_samples=self._count(None, "certify", "witness_samples", 1000, 1),
             master_seed=self.master_seed,
         )
@@ -355,7 +363,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     cert_cfg = cfg.certify_config()
     certificate = no_effectively_causal_nonlocal_determinism_check(cert_cfg)
     local_max = max(entry["max_chsh"] for entry in certificate.enumeration)
-    quantum = abs(chsh_value(cfg.params.state, *cert_cfg.chsh_angles))
+    quantum = abs(chsh_value(cfg.params.state, *CHSH_ANGLES))
     print(f"local max {_sig6(local_max)} < quantum {_sig6(quantum)}")
     w = certificate.wigner
     print(
@@ -374,50 +382,71 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(path: str) -> int:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
-        return 1
+def _report_lines(payload) -> list[str] | None:
+    """The rendering of a report written by run, classify or certify;
+    None for any other shape."""
+    if not isinstance(payload, dict):
+        return None
+    lines = []
     if payload.get("command") == "run":
-        print(
+        lines.append(
             f"model {payload['model']}  a={_sig6(payload['a'])}  b={_sig6(payload['b'])}  "
             f"frame chi={_sig6(payload['frame_rapidity'])}  n={payload['n']}  "
             f"seed={payload['master_seed']}"
         )
-        print(f"{'outcome':<9}{'empirical':>12}{'born':>12}")
-        for key in ("++", "+-", "-+", "--"):
-            print(
+        lines.append(f"{'outcome':<9}{'empirical':>12}{'born':>12}")
+        for key in OUTCOME_KEYS.values():
+            lines.append(
                 f"{key:<9}{_sig6(payload['frequencies'][key]):>12}"
                 f"{_sig6(payload['oracle'][key]):>12}"
             )
-        print(f"inconclusive runs: {payload['inconclusive']} of {payload['n']}")
+        lines.append(f"inconclusive runs: {payload['inconclusive']} of {payload['n']}")
     elif "tests" in payload:
         verdicts = {t["name"]: t["verdict"] for t in payload["tests"]}
-        print(_verdict_row(payload["model"], verdicts))
+        lines.append(_verdict_row(payload["model"], verdicts))
         for t in payload["tests"]:
-            print(
+            lines.append(
                 f"  {t['name']:<22} statistic {_sig6(t['statistic'])}  "
                 f"threshold {_sig6(t['threshold'])}  p {_sig6(t['p_bound'])}  {t['verdict']}"
             )
     elif "enumeration" in payload:
         for entry in payload["enumeration"]:
-            print(
+            lines.append(
                 f"k={entry['k']}: {entry['count']} strategies, "
                 f"max CHSH {_sig6(entry['max_chsh'])}"
             )
-        print(f"EPR survivors: {payload['epr_filter']['survivor_count']}")
+        lines.append(f"EPR survivors: {payload['epr_filter']['survivor_count']}")
         w = payload["wigner"]
-        print(
+        lines.append(
             f"wigner: lhs {_sig6(w['lhs'])} <= rhs {_sig6(w['rhs'])}; "
             f"quantum {_sig6(w['quantum_lhs'])} > {_sig6(w['quantum_rhs'])}"
         )
         jw = payload["janus_witness"]
-        print(f"janus witness in frame chi={_sig6(jw['frame_rapidity'])}, region {jw['region']}")
+        lines.append(
+            f"janus witness in frame chi={_sig6(jw['frame_rapidity'])}, region {jw['region']}"
+        )
     else:
+        return None
+    return lines
+
+
+def cmd_report(path: str) -> int:
+    try:
+        # a JSON or UTF-8 decoding error is a ValueError, too deep nesting
+        # a RecursionError
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
+        return 1
+    try:
+        lines = _report_lines(payload)
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        print(f"error: malformed report {path}: {type(exc).__name__} {exc}", file=sys.stderr)
+        return 1
+    if lines is None:
         print(f"error: unrecognized report shape in {path}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
     return 0
 
 

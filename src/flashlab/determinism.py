@@ -26,9 +26,10 @@ import numpy as np
 
 from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
 from .models import (
-    ExperimentRun, InconclusiveRunError, ModelParams, _poisson_cdf_table, _simulate_run,
+    ExperimentRun, InconclusiveRunError, ModelParams, _coerce_pair, _poisson_cdf_table,
+    _simulate_run,
 )
-from .quantum import SettingPair
+from .quantum import CHSH_ANGLES, SettingPair, flip_arms
 from .randomness import BitSource, mix_seed, random_bits
 
 _TWO_PI = 2.0 * math.pi
@@ -37,8 +38,6 @@ _ANGLE_TOL = 1e-12
 MAX_K_BITS = 10
 MAX_SIDE_EXPONENT = 20  # per-side table entries, i.e. strategies per side <= 2^20
 MAX_TOTAL_STRATEGIES = 1 << 20
-
-CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
 DEFAULT_BIT_BUDGET = 8192
 MIN_BIT_BUDGET = 1024
@@ -264,15 +263,25 @@ class JanusRealization:
 
     Bits are consumed 32 per uniform, pattern draws first (a
     settings-independent prefix), then channel decisions in the native
-    frame's temporal order.
+    frame's temporal order.  The default ``bit_budget`` holds the most
+    uniforms one run under ``params`` can draw, and at least
+    DEFAULT_BIT_BUDGET bits.
     """
 
     native_frame: Frame
     params: ModelParams = field(default_factory=ModelParams)
-    bit_budget: int = DEFAULT_BIT_BUDGET
+    bit_budget: int | None = None
     channel_law: str = "quantum"  # or "local_hv": wrap the local model instead
 
     def __post_init__(self):
+        if self.bit_budget is None:
+            # a run draws at most 2 + 3 (nA + nB) uniforms, and a count
+            # never exceeds the length of its Poisson table
+            n_max = sum(
+                len(_poisson_cdf_table(self.params.flash_rate * (r.t_max - r.t_min)))
+                for r in self.params.regions
+            )
+            object.__setattr__(self, "bit_budget", max(DEFAULT_BIT_BUDGET, 32 * (2 + 3 * n_max)))
         if self.bit_budget < MIN_BIT_BUDGET or self.bit_budget % 32:
             raise ValueError(
                 f"bit_budget must be a multiple of 32 and >= {MIN_BIT_BUDGET}"
@@ -292,10 +301,9 @@ def janus_run(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (j.bit_budget,):
         raise ValueError(f"bits must have length {j.bit_budget}, got {bits.shape}")
-    pair = settings if isinstance(settings, SettingPair) else SettingPair(*settings)
     return _simulate_run(
         BitSource(bits),
-        pair,
+        _coerce_pair(settings),
         j.params,
         j.native_frame.rapidity,
         j.native_frame,
@@ -358,12 +366,7 @@ def _center_order(params: ModelParams, frame: Frame) -> str:
 
 
 def influence_witness_search(
-    j: JanusRealization,
-    probe_frame: Frame,
-    n_samples: int,
-    master_seed: int = 0,
-    later_settings: tuple[float, float] = (0.0, math.pi / 2),
-    fixed_setting: float = 0.0,
+    j: JanusRealization, probe_frame: Frame, n_samples: int, master_seed: int = 0
 ) -> InfluenceEvidence | None:
     """Search sampled bit strings for a past-influence witness in
     ``probe_frame``.
@@ -371,29 +374,20 @@ def influence_witness_search(
     Per sample: identify the region whose first flash is earliest in the
     probe frame (identical across arms, since the flash pattern does not
     read the settings), hold its own setting fixed, switch the other
-    region's setting, and compare its outcome.  Returns the first witness
-    found, or None.
+    region's setting (quantum.flip_arms), and compare its outcome.
+    Returns the first witness found, or None.
     """
     rng = np.random.Generator(np.random.PCG64(mix_seed(master_seed, 0)))
     for _ in range(n_samples):
         bits = random_bits(rng, j.bit_budget)
         try:
-            base = janus_run(j, (later_settings[0], fixed_setting), bits, record_trace=False)
+            # the first arm is the same pair whichever region is earlier
+            run1 = janus_run(j, flip_arms("B")[0], bits, record_trace=False)
         except InconclusiveRunError:
             continue
-        earlier = _first_region_in_frame(base, probe_frame)
-        if earlier == "B":
-            pairs = (
-                SettingPair(later_settings[0], fixed_setting),
-                SettingPair(later_settings[1], fixed_setting),
-            )
-        else:
-            pairs = (
-                SettingPair(fixed_setting, later_settings[0]),
-                SettingPair(fixed_setting, later_settings[1]),
-            )
+        earlier = _first_region_in_frame(run1, probe_frame)
+        pairs = flip_arms(earlier)
         try:
-            run1 = base if earlier == "B" else janus_run(j, pairs[0], bits, record_trace=False)
             run2 = janus_run(j, pairs[1], bits, record_trace=False)
         except InconclusiveRunError:
             continue
@@ -405,12 +399,7 @@ def influence_witness_search(
 
 
 def past_influence_probe(
-    j: JanusRealization,
-    other_frame: Frame,
-    n_bits_samples: int,
-    master_seed: int = 0,
-    later_settings: tuple[float, float] = (0.0, math.pi / 2),
-    fixed_setting: float = 0.0,
+    j: JanusRealization, other_frame: Frame, n_bits_samples: int, master_seed: int = 0
 ) -> InfluenceEvidence | None:
     """Witness search in a frame that reverses the regions' temporal order.
 
@@ -423,16 +412,13 @@ def past_influence_probe(
             "other_frame must reverse the regions' temporal order "
             "relative to the native frame"
         )
-    return influence_witness_search(
-        j, other_frame, n_bits_samples, master_seed, later_settings, fixed_setting
-    )
+    return influence_witness_search(j, other_frame, n_bits_samples, master_seed)
 
 
 @dataclass(frozen=True)
 class CertifyConfig:
     params: ModelParams = field(default_factory=ModelParams)
     k_max: int = 2
-    chsh_angles: tuple = CHSH_ANGLES
     theta: float = math.pi / 3
     witness_samples: int = 1000
     master_seed: int = 1
@@ -489,7 +475,7 @@ def no_effectively_causal_nonlocal_determinism_check(
                 "n_b": 2,
                 "k": k,
                 "count": len(strategies),
-                "max_chsh": float(chsh_of(strategies, config.chsh_angles).max()),
+                "max_chsh": float(chsh_of(strategies).max()),
             }
         )
 
@@ -500,14 +486,8 @@ def no_effectively_causal_nonlocal_determinism_check(
     )
     wigner = wigner_check(filtered, theta)
 
-    # enough bits for the most uniforms one run can draw, 2 + 3 (nA + nB),
-    # as a count never exceeds the length of its Poisson table
+    j = JanusRealization(Frame(0.0), config.params)
     ra, rb = config.params.regions
-    n_max = sum(
-        len(_poisson_cdf_table(config.params.flash_rate * (r.t_max - r.t_min))) for r in (ra, rb)
-    )
-    bit_budget = max(DEFAULT_BIT_BUDGET, 32 * (2 + 3 * n_max))
-    j = JanusRealization(Frame(0.0), config.params, bit_budget)
     flip_frame = order_flip_rapidity(ra.center(), rb.center())
     witness = past_influence_probe(
         j, flip_frame, config.witness_samples, config.master_seed

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .minkowski import Event, Frame, Region, regions_spacelike
-from .quantum import Outcome, PureState, SettingPair, singlet
+from .quantum import BASIS, Outcome, PureState, SettingPair, singlet
 from .randomness import GeneratorSource, PCG64Streams, mix_seed, mix_seeds
 
 DEFAULT_FLASH_RATE = 5.0
@@ -51,8 +51,9 @@ DEFAULT_REGION_B = Region("B", 0.0, 1.0, 10.0, 11.0)
 # longer a normal double and the Poisson inversion loses its mass.
 MAX_FLASH_MEAN = 708.0
 
-# Joint outcome cells (alpha, beta), in the order every count vector uses.
-OUTCOME_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Joint outcome cells (alpha, beta), in the order every count vector uses:
+# the order of the state's basis.
+OUTCOME_CELLS = BASIS
 
 
 class ModelId(str, Enum):
@@ -574,10 +575,12 @@ class _Patterns:
 
     def processing_order(self, t, x, rapidity: float):
         """Each run's flash columns in the order their channels are drawn
-        (the time order of the frame of ``rapidity``), and which of those
-        are A flashes."""
+        (the time order of the frame of ``rapidity``), which of those are
+        A flashes, and the positions of each run's first A and first B
+        flash in that order."""
         order = _time_order(_frame_times(t, x, rapidity))
-        return order, order < self.width_a
+        in_a = order < self.width_a
+        return order, in_a, np.argmax(in_a, axis=1), np.argmax(~in_a, axis=1)
 
     def decisions(self, pairs, side_a, steps):
         """Per settings pair, the channel decisions (True for +1) of each
@@ -628,21 +631,27 @@ def _kernel_block(
         lam, mech = lam[conclusive], mech[conclusive]
         for arm, pair in enumerate(pairs):
             plus_a = _lhv_plus(pair.a.angle, lam, mech)
-            plus_b = _lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
-            cells[arm, conclusive] = 2 * ~plus_a + plus_b
+            plus_b = ~_lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+            cells[arm, conclusive] = _cell(plus_a, plus_b)
         return cells
 
     block.draw_to(int(block.base[conclusive].max()))
     t, x = block.coordinates()
-    _, in_a = block.processing_order(t, x, rapidity if spec.frame_ordered else 0.0)
-    first_a = np.argmax(in_a, axis=1)
-    first_b = np.argmax(~in_a, axis=1)
+    _, in_a, first_a, first_b = block.processing_order(
+        t, x, rapidity if spec.frame_ordered else 0.0
+    )
     steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
     runs = np.flatnonzero(conclusive)
     first_a, first_b = first_a[runs], first_b[runs]
     for arm, plus in enumerate(block.decisions(pairs, in_a, steps)):
-        cells[arm, runs] = 2 * ~plus[runs, first_a] + ~plus[runs, first_b]
+        cells[arm, runs] = _cell(plus[runs, first_a], plus[runs, first_b])
     return cells
+
+
+def _cell(plus_a: np.ndarray, plus_b: np.ndarray) -> np.ndarray:
+    """Index into OUTCOME_CELLS of each run's outcome, from whether its
+    alpha and its beta are +1."""
+    return 2 * ~plus_a + ~plus_b
 
 
 class FlashBlock(NamedTuple):
@@ -677,23 +686,21 @@ def _flash_block(
     if spec.local_channels:
         lam, mech = block.hidden_variables()
         plus_a = _lhv_plus(pair.a.angle, lam, mech)
-        plus_b = _lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+        plus_b = ~_lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
         t, x = block.coordinates()
-        plus = np.where(np.arange(t.shape[1]) < block.width_a, plus_a[:, None], ~plus_b[:, None])
-        cells[conclusive] = (2 * ~plus_a + plus_b)[conclusive]
+        plus = np.where(np.arange(t.shape[1]) < block.width_a, plus_a[:, None], plus_b[:, None])
+        cells[conclusive] = _cell(plus_a, plus_b)[conclusive]
     else:
         block.draw_to(int((block.base + steps).max()))
         t, x = block.coordinates()
-        order, in_a = block.processing_order(
+        order, in_a, first_a, first_b = block.processing_order(
             t, x, frame.rapidity if spec.frame_ordered else 0.0
         )
         (decided,) = block.decisions([pair], in_a, steps)
         plus = np.zeros(t.shape, dtype=bool)
         np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
         runs = np.flatnonzero(conclusive)
-        first_a = np.argmax(in_a[runs], axis=1)
-        first_b = np.argmax(~in_a[runs], axis=1)
-        cells[runs] = 2 * ~decided[runs, first_a] + ~decided[runs, first_b]
+        cells[runs] = _cell(decided[runs, first_a[runs]], decided[runs, first_b[runs]])
 
     t_frame = _frame_times(t, x, frame.rapidity)
     report = _time_order(t_frame)

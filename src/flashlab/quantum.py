@@ -31,6 +31,15 @@ BASIS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 CHANNELS = (+1, -1)
 SIDES = ("A", "B")
 
+# The CHSH settings (a, a', b, b'), at which the singlet reaches the
+# Tsirelson value.
+CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+
+# The flip probe: the frame-later region's setting moves from the first of
+# these to the second while the frame-earlier region keeps the first, so
+# the probe's first arm is the same pair whichever region is earlier.
+FLIP_SETTINGS = (0.0, math.pi / 2)
+
 
 class NormalizationError(ValueError):
     """State vector is not normalized within NORM_TOL."""
@@ -64,6 +73,16 @@ class SettingPair:
             object.__setattr__(self, "a", Setting(float(self.a)))
         if not isinstance(self.b, Setting):
             object.__setattr__(self, "b", Setting(float(self.b)))
+
+
+def flip_arms(earlier: str) -> tuple[SettingPair, SettingPair]:
+    """The two settings pairs of a flip probe in which region ``earlier``
+    is frame-earlier: it keeps its own setting while the other region's
+    setting moves (FLIP_SETTINGS)."""
+    keep = FLIP_SETTINGS[0]
+    if _require_side(earlier) == "B":
+        return tuple(SettingPair(s, keep) for s in FLIP_SETTINGS)
+    return tuple(SettingPair(keep, s) for s in FLIP_SETTINGS)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flashlab.cli import main
 
 PI_THIRD = math.pi / 3
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -108,6 +113,9 @@ def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
         ("certify", "k_max = two", "k_max must be an integer"),
         ("certify", "k_max = -1", "k_max must be >= 0, got -1"),
         ("certify", "witness_samples = 0", "witness_samples must be >= 1, got 0"),
+        ("certify", "theta = 0", "theta must lie in (0, pi/2), got 0.0"),
+        ("certify", "theta = nan", "theta must lie in (0, pi/2), got nan"),
+        ("certify", "theta = 2", "theta must lie in (0, pi/2), got 2.0"),
     ],
 )
 def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, command, entry,
@@ -224,3 +232,25 @@ def test_report_rejects_garbage(tmp_path, capsys):
     path.write_text("{\"neither\": true}")
     assert run_cli("report", str(path)) == 1
     assert "unrecognized" in capsys.readouterr().err
+    # each of these used to end in a traceback
+    for content, message in [
+        (b"[]", "unrecognized report shape in"),
+        (b'{"command": "run"}', "malformed report"),
+        (b'{"tests": [{"name": "x"}]}', "malformed report"),
+        (b"\xff\xfe{}", "cannot read report"),
+    ]:
+        path.write_bytes(content)
+        assert run_cli("report", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} {path}")
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, flashlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    ).stdout
+    assert out == "False\n"

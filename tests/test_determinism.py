@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flashlab.determinism import (
+    DEFAULT_BIT_BUDGET,
     CertifyConfig,
     DeterministicStrategy,
     InfluenceEvidence,
@@ -21,7 +22,7 @@ from flashlab.determinism import (
     wigner_check,
 )
 from flashlab.minkowski import Frame, order_flip_rapidity
-from flashlab.models import InconclusiveRunError, ModelId, outcome_distribution
+from flashlab.models import InconclusiveRunError, ModelId, ModelParams, outcome_distribution
 from flashlab.quantum import SettingPair
 from flashlab.randomness import BitsExhausted, random_bits
 from flashlab.stats import chi2_homogeneity
@@ -291,6 +292,17 @@ def test_bit_exhaustion_names_the_draw():
             continue
     assert starved is not None
     assert starved.draw_label
+
+
+def test_janus_budget_follows_the_flash_rate():
+    assert JanusRealization(Frame(0.0)).bit_budget == DEFAULT_BIT_BUDGET == 8192
+    j = JanusRealization(Frame(0.0), ModelParams(flash_rate=45))
+    # 116 partial sums per region's Poisson table at mean 45: 2 + 3 * 232 uniforms
+    assert j.bit_budget == 32 * (2 + 3 * 232)
+    # a fixed 8192-bit budget ran out in 147 of these 200 bit strings
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        janus_run(j, (0.0, 1.0), random_bits(rng, j.bit_budget), record_trace=False)
 
 
 def test_witness_found_in_order_flip_frame():
