@@ -50,6 +50,7 @@ from .minkowski import (
     spacelike,
 )
 from .models import (
+    EnsembleRequest,
     ExperimentRun,
     Flash,
     FlashEnsemble,
@@ -58,6 +59,7 @@ from .models import (
     ModelParams,
     OutcomeDistribution,
     ensemble,
+    ensembles,
     outcome_distribution,
     run_local_hv,
     run_preferred_frame,

@@ -23,9 +23,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .minkowski import Frame, order_flip_rapidity, region_frame_order
-from .models import OUTCOME_CELLS, ModelParams, OutcomeDistribution, _coerce_pair, ensemble
+from .models import (
+    OUTCOME_CELLS,
+    EnsembleRequest,
+    ModelParams,
+    OutcomeDistribution,
+    _coerce_pair,
+    ensembles,
+)
 from .quantum import CHSH_ANGLES, born_joint, flip_arms
 from .randomness import mix_seed
 from .stats import bonferroni, chi2_gof, chi2_homogeneity
@@ -143,22 +151,41 @@ def params_digest(params: ModelParams) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# Each test is a _Plan: the ensemble requests it needs, and its verdict
+# from their counts.  A test_* function runs its own plan; classify()
+# stacks the requests of all five plans, so that the kernel sweeps the
+# one-arm requests together and the two-arm flip probes together.
+
+
+class _Plan(NamedTuple):
+    requests: list[EnsembleRequest]
+    verdict: Callable[[list[tuple]], TestResult]  # from ensembles() of the requests
+
+
+def _run(model, params: ModelParams, plan: _Plan) -> TestResult:
+    return plan.verdict(ensembles(model, plan.requests, params))
+
+
+def _distribution(request: EnsembleRequest, counts) -> OutcomeDistribution:
+    joint, inconclusive = counts
+    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, joint.tolist())), request.n, inconclusive)
+
+
 def collect_samples(
     model, params: ModelParams, settings, frame: Frame, n: int, master_seed: int
 ) -> OutcomeDistribution:
     """Run the model n times with counter-derived seeds; unlike
     outcome_distribution, all n runs may be inconclusive."""
-    counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
-    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, counts.tolist())), n, inconclusive)
+    request = EnsembleRequest((settings,), frame, n, master_seed)
+    (counts,) = ensembles(model, [request], params)
+    return _distribution(request, counts)
 
 
-def _sample_cells(
-    model, params: ModelParams, pairs, n: int, master_seed: int, frame: Frame = Frame(0.0)
-) -> list[OutcomeDistribution]:
-    """One OutcomeDistribution per settings pair, pair i seeded with
+def _cell_requests(pairs, n: int, master_seed: int, frame: Frame = Frame(0.0)) -> list:
+    """One one-arm request per settings pair, pair i seeded with
     mix_seed(master_seed, i)."""
     return [
-        collect_samples(model, params, pair, frame, n, mix_seed(master_seed, i))
+        EnsembleRequest((pair,), frame, n, mix_seed(master_seed, i))
         for i, pair in enumerate(pairs)
     ]
 
@@ -171,30 +198,68 @@ def _gated(ok: bool, dropped: int, total: int) -> str:
     return PASS if ok else FAIL
 
 
+def _qf_plan(params: ModelParams, settings_grid, n: int, master_seed: int) -> _Plan:
+    grid = [_coerce_pair(c) for c in settings_grid]
+    if not grid:
+        raise ValueError("settings grid must be nonempty")
+    requests = _cell_requests(grid, n, master_seed)
+
+    def decide(counts) -> TestResult:
+        sets = [_distribution(r, c) for r, c in zip(requests, counts)]
+        p_values = []
+        for pair, sample in zip(grid, sets):
+            expected = born_joint(params.state, pair)
+            observed = [sample.counts[c] for c in OUTCOME_CELLS]
+            p_values.append(chi2_gof(observed, [expected[c] for c in OUTCOME_CELLS]).p_value)
+        p_adj = bonferroni(p_values)
+        return TestResult(
+            "qf_agreement",
+            statistic=p_adj,
+            threshold=_ALPHA,
+            p_bound=p_adj,
+            verdict=_gated(p_adj >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
+            details={"cells": len(grid), "p_values": p_values},
+        )
+
+    return _Plan(requests, decide)
+
+
 def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int) -> TestResult:
     """Goodness of fit against the Born joint law over a settings grid.
 
     statistic = smallest Bonferroni-adjusted p-value across grid cells;
     pass iff statistic >= 1e-3.
     """
-    grid = [_coerce_pair(c) for c in settings_grid]
-    if not grid:
-        raise ValueError("settings grid must be nonempty")
-    sets = _sample_cells(model, params, grid, n, master_seed)
-    p_values = []
-    for pair, sample in zip(grid, sets):
-        expected = born_joint(params.state, pair)
-        observed = [sample.counts[c] for c in OUTCOME_CELLS]
-        p_values.append(chi2_gof(observed, [expected[c] for c in OUTCOME_CELLS]).p_value)
-    p_adj = bonferroni(p_values)
-    return TestResult(
-        "qf_agreement",
-        statistic=p_adj,
-        threshold=_ALPHA,
-        p_bound=p_adj,
-        verdict=_gated(p_adj >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
-        details={"cells": len(grid), "p_values": p_values},
-    )
+    return _run(model, params, _qf_plan(params, settings_grid, n, master_seed))
+
+
+def _no_signalling_plan(n: int, master_seed: int) -> _Plan:
+    a, a_p, b, b_p = CHSH_ANGLES
+    requests = _cell_requests([(a, b), (a, b_p), (a_p, b)], n, master_seed)
+
+    def marginal(sample, side):
+        """Counts of +1 and of -1 on one side."""
+        k = 0 if side == "A" else 1
+        return [sum(c for cell, c in sample.counts.items() if cell[k] == s) for s in (1, -1)]
+
+    def decide(counts) -> TestResult:
+        sets = [_distribution(r, c) for r, c in zip(requests, counts)]
+        ab, ab_p, a_p_b = sets
+        comparisons = {
+            "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
+            "beta_across_a": chi2_homogeneity(marginal(ab, "B"), marginal(a_p_b, "B")),
+        }
+        p_min = min(r.p_value for r in comparisons.values())
+        return TestResult(
+            "no_signalling",
+            statistic=p_min,
+            threshold=_ALPHA,
+            p_bound=p_min,
+            verdict=_gated(p_min >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
+            details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
+        )
+
+    return _Plan(requests, decide)
 
 
 def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
@@ -204,28 +269,27 @@ def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> 
     B's across a vs a' (b fixed), each with a two-sample chi-square.
     statistic = smallest p-value; pass iff statistic >= 1e-3.
     """
-    a, a_p, b, b_p = CHSH_ANGLES
-    sets = _sample_cells(model, params, [(a, b), (a, b_p), (a_p, b)], n, master_seed)
-    ab, ab_p, a_p_b = sets
+    return _run(model, params, _no_signalling_plan(n, master_seed))
 
-    def marginal(sample, side):
-        """Counts of +1 and of -1 on one side."""
-        k = 0 if side == "A" else 1
-        return [sum(c for cell, c in sample.counts.items() if cell[k] == s) for s in (1, -1)]
 
-    comparisons = {
-        "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
-        "beta_across_a": chi2_homogeneity(marginal(ab, "B"), marginal(a_p_b, "B")),
-    }
-    p_min = min(r.p_value for r in comparisons.values())
-    return TestResult(
-        "no_signalling",
-        statistic=p_min,
-        threshold=_ALPHA,
-        p_bound=p_min,
-        verdict=_gated(p_min >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
-        details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
-    )
+def _chsh_requests(angles: tuple, n: int, master_seed: int, frame: Frame) -> list:
+    a, a_p, b, b_p = angles
+    return _cell_requests([(a, b), (a, b_p), (a_p, b), (a_p, b_p)], n, master_seed, frame)
+
+
+def _chsh_value(requests, counts) -> tuple[float, float]:
+    """(S_hat, standard error) from the counts of the four CHSH cells."""
+    s_hat = 0.0
+    var = 0.0
+    for sign, request, cell in zip((+1, -1, +1, +1), requests, counts):
+        sample = _distribution(request, cell)
+        m = sample.n_conclusive
+        if m == 0:
+            raise RuntimeError("no conclusive runs for CHSH estimation")
+        e = sample.correlator()
+        s_hat += sign * e
+        var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
+    return s_hat, math.sqrt(var)
 
 
 def chsh_estimate(
@@ -237,19 +301,35 @@ def chsh_estimate(
     frame: Frame = Frame(0.0),
 ) -> tuple[float, float]:
     """(S_hat, standard error) of E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    a, a_p, b, b_p = angles
-    pairs = [(a, b), (a, b_p), (a_p, b), (a_p, b_p)]
-    sets = _sample_cells(model, params, pairs, n, master_seed, frame)
-    s_hat = 0.0
-    var = 0.0
-    for sign, sample in zip((+1, -1, +1, +1), sets):
-        m = sample.n_conclusive
-        if m == 0:
-            raise RuntimeError("no conclusive runs for CHSH estimation")
-        e = sample.correlator()
-        s_hat += sign * e
-        var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
-    return s_hat, math.sqrt(var)
+    requests = _chsh_requests(angles, n, master_seed, frame)
+    return _chsh_value(requests, ensembles(model, requests, params))
+
+
+def _locality_plan(n: int, master_seed: int) -> _Plan:
+    requests = _chsh_requests(CHSH_ANGLES, n, master_seed, Frame(0.0))
+
+    def decide(counts) -> TestResult:
+        s_hat, se = _chsh_value(requests, counts)
+        stat = abs(s_hat)
+        if stat > 2.0 + 5.0 * se:
+            verdict = FAIL
+        elif stat < 2.0 - 5.0 * se:
+            verdict = PASS
+        else:
+            verdict = INCONCLUSIVE
+        margin = abs(stat - 2.0) / se if se > 0 else math.inf
+        # Gaussian tail bound on the observed deviation from the bound
+        p_bound = min(1.0, math.erfc(margin / math.sqrt(2.0)))
+        return TestResult(
+            "locality",
+            statistic=stat,
+            threshold=2.0,
+            p_bound=p_bound,
+            verdict=verdict,
+            details={"S": s_hat, "se": se},
+        )
+
+    return _Plan(requests, decide)
 
 
 def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
@@ -259,38 +339,12 @@ def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestR
     statistic = |S_hat|, threshold = 2.  fail (not local) iff
     |S_hat| > 2 + 5 se; pass iff |S_hat| < 2 - 5 se; inconclusive between.
     """
-    s_hat, se = chsh_estimate(model, params, CHSH_ANGLES, n, master_seed)
-    stat = abs(s_hat)
-    if stat > 2.0 + 5.0 * se:
-        verdict = FAIL
-    elif stat < 2.0 - 5.0 * se:
-        verdict = PASS
-    else:
-        verdict = INCONCLUSIVE
-    margin = abs(stat - 2.0) / se if se > 0 else math.inf
-    # Gaussian tail bound on the observed deviation from the bound
-    p_bound = min(1.0, math.erfc(margin / math.sqrt(2.0)))
-    return TestResult(
-        "locality",
-        statistic=stat,
-        threshold=2.0,
-        p_bound=p_bound,
-        verdict=verdict,
-        details={"S": s_hat, "se": se},
-    )
+    return _run(model, params, _locality_plan(n, master_seed))
 
 
-def paired_flip_fraction(
-    model, params: ModelParams, frame: Frame, earlier: str, n: int, master_seed: int
-) -> dict:
-    """Seed-paired dependence probe for one frame and one direction.
-
-    Runs the model twice per seed, changing only the frame-later region's
-    setting (quantum.flip_arms), and counts how often the frame-earlier
-    region's outcome differs.  A model whose outcome function does not
-    read the distant setting gives exactly zero flips.
-    """
-    joint, dropped = ensemble(model, flip_arms(earlier), frame, params, n, master_seed)
+def _flip_probe(frame: Frame, earlier: str, counts) -> dict:
+    """A flip probe's counts, from the joint table of its two arms."""
+    joint, dropped = counts
     side = 1 if earlier == "B" else 0
     pairs = int(joint.sum())
     flips = sum(
@@ -309,11 +363,33 @@ def paired_flip_fraction(
     }
 
 
-def _flip_sweep(
-    model, params: ModelParams, frames_probe, n: int, master_seed: int, first_index: int
-) -> list[dict]:
-    """paired_flip_fraction in each probe frame that orders the region
-    boxes, probe k seeded with mix_seed(master_seed, first_index + k).
+def paired_flip_fraction(
+    model, params: ModelParams, frame: Frame, earlier: str, n: int, master_seed: int
+) -> dict:
+    """Seed-paired dependence probe for one frame and one direction.
+
+    Runs the model twice per seed, changing only the frame-later region's
+    setting (quantum.flip_arms), and counts how often the frame-earlier
+    region's outcome differs.  A model whose outcome function does not
+    read the distant setting gives exactly zero flips.
+    """
+    (counts,) = ensembles(
+        model, [EnsembleRequest(flip_arms(earlier), frame, n, master_seed)], params
+    )
+    return _flip_probe(frame, earlier, counts)
+
+
+def _flip_plan(
+    params: ModelParams,
+    frames_probe,
+    n: int,
+    master_seed: int,
+    first_index: int,
+    verdict: Callable[[list[dict]], TestResult],
+) -> _Plan:
+    """A paired flip probe in each probe frame that orders the region
+    boxes, probe k seeded with mix_seed(master_seed, first_index + k);
+    ``verdict`` reads the probes' dicts.
 
     Frames that leave the boxes overlapping in frame time identify no
     earlier region and are skipped; the rest must order them both ways.
@@ -327,12 +403,13 @@ def _flip_sweep(
             "frames_probe must order the regions both ways; "
             f"got earlier-region set {sorted(have)}"
         )
-    return [
-        paired_flip_fraction(
-            model, params, frame, earlier, n, mix_seed(master_seed, first_index + k)
-        )
+    requests = [
+        EnsembleRequest(flip_arms(earlier), frame, n, mix_seed(master_seed, first_index + k))
         for k, (frame, earlier) in enumerate(ordered)
     ]
+    return _Plan(requests, lambda counts: verdict([
+        _flip_probe(frame, earlier, c) for (frame, earlier), c in zip(ordered, counts)
+    ]))
 
 
 def _flip_result(name: str, stat: float, probes: list[dict], details: dict) -> TestResult:
@@ -342,6 +419,19 @@ def _flip_result(name: str, stat: float, probes: list[dict], details: dict) -> T
     total = sum(p["pairs"] + p["dropped"] for p in probes)
     p_bound = 1.0 if stat == 0.0 else 0.0
     return TestResult(name, stat, 0.0, p_bound, _gated(stat == 0.0, dropped, total), details)
+
+
+def _effective_locality_verdict(probes: list[dict]) -> TestResult:
+    per_direction = {}
+    detail = []
+    for direction, receiver in (("A->B", "B"), ("B->A", "A")):
+        received = [p for p in probes if p["earlier"] == receiver]
+        detail += [{"direction": direction, **p} for p in received]
+        # min keeps its current value against a NaN (a probe with no
+        # conclusive pair), so starting from inf skips those probes
+        per_direction[direction] = min([math.inf, *(p["fraction"] for p in received)])
+    details = {"directions": per_direction, "probes": detail}
+    return _flip_result("effective_locality", max(per_direction.values()), probes, details)
 
 
 def test_effective_locality(
@@ -356,17 +446,13 @@ def test_effective_locality(
     direction's best flip fraction, threshold = 0; pass iff statistic = 0
     for both directions.
     """
-    probes = _flip_sweep(model, params, frames_probe, n, master_seed, 0)
-    per_direction = {}
-    detail = []
-    for direction, receiver in (("A->B", "B"), ("B->A", "A")):
-        received = [p for p in probes if p["earlier"] == receiver]
-        detail += [{"direction": direction, **p} for p in received]
-        # min keeps its current value against a NaN (a probe with no
-        # conclusive pair), so starting from inf skips those probes
-        per_direction[direction] = min([math.inf, *(p["fraction"] for p in received)])
-    details = {"directions": per_direction, "probes": detail}
-    return _flip_result("effective_locality", max(per_direction.values()), probes, details)
+    plan = _flip_plan(params, frames_probe, n, master_seed, 0, _effective_locality_verdict)
+    return _run(model, params, plan)
+
+
+def _effective_causality_verdict(probes: list[dict]) -> TestResult:
+    worst = max([0.0, *(p["fraction"] for p in probes if not math.isnan(p["fraction"]))])
+    return _flip_result("effective_causality", worst, probes, {"probes": probes})
 
 
 def test_effective_causality(
@@ -379,9 +465,8 @@ def test_effective_causality(
     conclusive pair are skipped), threshold = 0; pass iff zero flips
     everywhere.
     """
-    probes = _flip_sweep(model, params, frames_probe, n, master_seed, 1000)
-    worst = max([0.0, *(p["fraction"] for p in probes if not math.isnan(p["fraction"]))])
-    return _flip_result("effective_causality", worst, probes, {"probes": probes})
+    plan = _flip_plan(params, frames_probe, n, master_seed, 1000, _effective_causality_verdict)
+    return _run(model, params, plan)
 
 
 def classify(
@@ -389,27 +474,34 @@ def classify(
     params: ModelParams | None = None,
     config: ClassifyConfig | None = None,
 ) -> ClassificationReport:
-    """Run the full five-test battery with independent derived seeds."""
+    """Run the full five-test battery with independent derived seeds.
+
+    The requests of all five tests go to the kernel together, so it makes
+    one sweep over the one-arm cells and one over the flip probes; each
+    verdict is the one its test_* function gives on its own.
+    """
     params = params if params is not None else ModelParams()
     config = config if config is not None else ClassifyConfig()
     frames = config.frames_probe
     if frames is None:
         frames = default_frames_probe(params)
     seeds = {name: mix_seed(config.master_seed, 101 + i) for i, name in enumerate(TEST_NAMES)}
+    plans = {
+        "qf_agreement": _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
+        "no_signalling": _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
+        "locality": _locality_plan(config.n_locality, seeds["locality"]),
+        "effective_locality": _flip_plan(
+            params, frames, config.n_eff, seeds["effective_locality"], 0,
+            _effective_locality_verdict,
+        ),
+        "effective_causality": _flip_plan(
+            params, frames, config.n_eff, seeds["effective_causality"], 1000,
+            _effective_causality_verdict,
+        ),
+    }
+    counts = iter(ensembles(model, [r for p in plans.values() for r in p.requests], params))
     results = {
-        "qf_agreement": test_qf(
-            model, params, config.qf_grid, config.n_qf, seeds["qf_agreement"]
-        ),
-        "no_signalling": test_no_signalling(
-            model, params, config.n_nosig, seeds["no_signalling"]
-        ),
-        "locality": test_locality(model, params, config.n_locality, seeds["locality"]),
-        "effective_locality": test_effective_locality(
-            model, params, frames, config.n_eff, seeds["effective_locality"]
-        ),
-        "effective_causality": test_effective_causality(
-            model, params, frames, config.n_eff, seeds["effective_causality"]
-        ),
+        name: plan.verdict([next(counts) for _ in plan.requests]) for name, plan in plans.items()
     }
     sample_sizes = {
         "qf_agreement": config.n_qf,

@@ -215,6 +215,8 @@ def _simulate_run(
     stream; channel decisions consume uniforms strictly in the processing
     order (frame-time ascending, ties broken A < B then by index).
     """
+    # each draw is labelled by a tuple of parts, which only a BitSource
+    # that runs out joins into a name such as "channel_A4"
     uniform = source.uniform
     rate = params.flash_rate
 
@@ -225,11 +227,12 @@ def _simulate_run(
         label = region.label
         t_span = region.t_max - region.t_min
         x_span = region.x_max - region.x_min
-        n = _poisson_inverse(uniform(f"count_{label}"), rate * t_span)
+        n = _poisson_inverse(uniform(("count_", label)), rate * t_span)
         counts[rank] = n
-        times = sorted(region.t_min + t_span * uniform(f"time_{label}") for _ in range(n))
+        time_label, x_label = ("time_", label), ("x_", label)
+        times = sorted(region.t_min + t_span * uniform(time_label) for _ in range(n))
         for idx, t in enumerate(times):
-            x = region.x_min + x_span * uniform(f"x_{label}")
+            x = region.x_min + x_span * uniform(x_label)
             pattern.append((rank, idx, t, x))
 
     ch = math.cosh(processing_rapidity)
@@ -267,8 +270,7 @@ def _simulate_run(
             p_plus = (f0.real * f0.real + f0.imag * f0.imag) + (
                 f1.real * f1.real + f1.imag * f1.imag
             )
-            label = "AB"[rank]
-            if uniform(f"channel_{label}{idx}") < p_plus:
+            if uniform(("channel_", "AB"[rank], idx)) < p_plus:
                 value = 1
                 v0, v1 = c, s
                 g0, g1 = f0, f1
@@ -440,6 +442,16 @@ def outcome_distribution(
     return OutcomeDistribution(dict(zip(OUTCOME_CELLS, counts.tolist())), n, inconclusive)
 
 
+class EnsembleRequest(NamedTuple):
+    """n seeded runs, each run once per settings arm: run i uses seed
+    mix_seed(master_seed, i) under every arm, in ``frame``."""
+
+    arms: tuple
+    frame: Frame
+    n: int
+    master_seed: int
+
+
 def ensemble(
     model,
     arms,
@@ -454,35 +466,89 @@ def ensemble(
     differ only in their settings.  Returns ``(joint, n_inconclusive)``:
     ``joint[c_1, ..., c_k]`` counts the runs whose outcome under arm j is
     ``OUTCOME_CELLS[c_j]``; a run inconclusive under any arm is counted
-    once in ``n_inconclusive`` instead.
+    once in ``n_inconclusive`` instead.  The one-request case of
+    ``ensembles``.
+    """
+    (result,) = ensembles(model, [EnsembleRequest(arms, frame, n, master_seed)], params)
+    return result
+
+
+def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[np.ndarray, int]]:
+    """``ensemble``'s ``(joint, n_inconclusive)`` for each EnsembleRequest,
+    in order.
 
     Built-in models go through a vectorized kernel that gives each run
-    the outcome ``_simulate_run`` gives it, in blocks of runs so that
-    memory does not grow with n; a custom runner callable is called run
-    by run.
+    the outcome ``_simulate_run`` gives it.  The runs of all requests with
+    the same number of arms are stacked, one row per run, and swept in
+    blocks of rows so that memory does not grow with n; every row carries
+    its own seed, settings and processing rapidity, so a request's counts
+    do not depend on the requests beside it.  A custom runner callable is
+    called run by run, request by request.
     """
     params = params if params is not None else ModelParams()
-    pairs = [_coerce_pair(s) for s in arms]
-    joint = np.zeros((len(OUTCOME_CELLS),) * len(pairs), dtype=np.int64)
-    inconclusive = 0
+    requests = [
+        EnsembleRequest(tuple(_coerce_pair(s) for s in r.arms), r.frame, r.n, r.master_seed)
+        for r in requests
+    ]
+    if any(r.n < 0 for r in requests):
+        raise ValueError("n must be >= 0")
     if callable(model) and not isinstance(model, ModelId):
-        for i in range(n):
-            seed = mix_seed(master_seed, i)
-            try:
-                runs = [model(pair, frame, seed, params, record_trace=False) for pair in pairs]
-            except InconclusiveRunError:
-                continue
-            joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
-        return joint, n - int(joint.sum())
+        return [_scalar_ensemble(model, r, params) for r in requests]
     model = ModelId(model)
-    for start in range(0, n, _KERNEL_BLOCK):
-        seeds = mix_seeds(master_seed, start, min(n, start + _KERNEL_BLOCK))
-        cells = _kernel_block(model, pairs, frame.rapidity, params, seeds)
-        conclusive = cells[0] >= 0
-        inconclusive += seeds.size - int(np.count_nonzero(conclusive))
-        flat = np.ravel_multi_index(tuple(cells[:, conclusive]), joint.shape)
-        joint += np.bincount(flat, minlength=joint.size).reshape(joint.shape)
-    return joint, inconclusive
+    results = [None] * len(requests)
+    by_arms: dict[int, list[int]] = {}
+    for i, r in enumerate(requests):
+        by_arms.setdefault(len(r.arms), []).append(i)
+    for index in by_arms.values():
+        for i, result in zip(index, _sweep(model, [requests[i] for i in index], params)):
+            results[i] = result
+    return results
+
+
+def _scalar_ensemble(runner, request: EnsembleRequest, params) -> tuple[np.ndarray, int]:
+    """One request through a runner callable, run by run; a run is dropped
+    at its first inconclusive arm."""
+    joint = np.zeros((len(OUTCOME_CELLS),) * len(request.arms), dtype=np.int64)
+    for i in range(request.n):
+        seed = mix_seed(request.master_seed, i)
+        try:
+            runs = [runner(pair, request.frame, seed, params, record_trace=False)
+                    for pair in request.arms]
+        except InconclusiveRunError:
+            continue
+        joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
+    return joint, request.n - int(joint.sum())
+
+
+def _sweep(model: ModelId, requests, params: ModelParams) -> list[tuple[np.ndarray, int]]:
+    """``ensembles`` for requests with one number of arms: their runs
+    stacked in request order and cut into blocks of _KERNEL_BLOCK rows."""
+    shape = (len(OUTCOME_CELLS),) * len(requests[0].arms)
+    width = math.prod(shape) + 1  # per request: inconclusive, then each joint cell
+    stack = _stack(model, requests)
+    ends = np.cumsum([r.n for r in requests])
+    tally = np.zeros(len(requests) * width, dtype=np.int64)
+    for start in range(0, int(ends[-1]), _KERNEL_BLOCK):
+        req, seeds = _block_rows(requests, ends, start, min(int(ends[-1]), start + _KERNEL_BLOCK))
+        cells = _kernel_block(model, stack.take(req), params, seeds)
+        flat = np.ravel_multi_index(tuple(np.maximum(cells, 0)), shape)
+        column = np.where(cells[0] >= 0, flat + 1, 0)
+        tally += np.bincount(req * width + column, minlength=tally.size)
+    return [(row[1:].reshape(shape), int(row[0])) for row in tally.reshape(-1, width)]
+
+
+def _block_rows(requests, ends: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Request index and seed of rows start..stop-1 of a sweep, where the
+    runs of request r are rows ends[r] - n_r .. ends[r] - 1."""
+    req, seeds = [], []
+    r = int(np.searchsorted(ends, start, side="right"))
+    while r < len(requests) and int(ends[r]) - requests[r].n < stop:
+        begin = int(ends[r]) - requests[r].n
+        lo, hi = max(start, begin) - begin, min(stop, int(ends[r])) - begin
+        req.append(np.full(hi - lo, r, dtype=np.intp))
+        seeds.append(mix_seeds(requests[r].master_seed, lo, hi))
+        r += 1
+    return np.concatenate(req), np.concatenate(seeds)
 
 
 # --- ensemble kernel ---------------------------------------------------------
@@ -497,6 +563,8 @@ def ensemble(
 #   2 + 2(nA + nB)    channel draws in processing order (or lambda and the
 #                     mechanism for local_hv)
 #
+# A block's rows may belong to different requests: each row carries its
+# own seed, settings and processing rapidity (a _Stack taken per row).
 # _Patterns is the stage both paths share: the flash counts, the sorted
 # times, the positions and a frame's time order.  The outcome path
 # (_kernel_block) stops the collapse once both regions have drawn their
@@ -505,15 +573,28 @@ def ensemble(
 # real operations in the same order as the scalar complex arithmetic, so
 # every probability compared against a uniform is the same double.
 
-_KERNEL_BLOCK = 4096
+# Rows per kernel block.  Peak memory grows with it: a benchmark-size
+# classify battery (7,750 runs per model) adds about 5.5 MB to the peak RSS
+# over import at 2,048 rows, and about twice that at 4,096.
+_KERNEL_BLOCK = 2048
 # Smaller, because each flash row becomes Python objects in the CSV writer.
 _FLASH_BLOCK = 512
 
 
 def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """u[row, columns[row, j]], with columns past the drawn width clipped
-    (those entries belong to runs that never reach them)."""
-    return np.take_along_axis(u, np.minimum(columns, u.shape[1] - 1), axis=1)
+    (those entries belong to runs that never reach them).  Clips
+    ``columns`` in place, so callers pass a fresh array."""
+    return np.take_along_axis(u, np.minimum(columns, u.shape[1] - 1, out=columns), axis=1)
+
+
+def _scaled(u: np.ndarray, columns: np.ndarray, low: float, high: float) -> np.ndarray:
+    """low + (high - low) * _gather(u, columns), computed in place on the
+    gathered copy with the same two operations."""
+    values = _gather(u, columns)
+    values *= high - low
+    values += low
+    return values
 
 
 class _Patterns:
@@ -540,8 +621,12 @@ class _Patterns:
 
     def draw_to(self, width: int) -> np.ndarray:
         """u, first extended to at least ``width`` uniforms per run."""
-        if width > self.u.shape[1]:
-            self.u = np.hstack([self.u, self._streams.random(width - self.u.shape[1])])
+        have = self.u.shape[1]
+        if width > have:
+            u = np.empty((self.u.shape[0], width))
+            u[:, :have] = self.u
+            self._streams.fill(u[:, have:])
+            self.u = u
         return self.u
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -550,61 +635,68 @@ class _Patterns:
         Times are sorted within a region, so the column is the index, and
         are inf on padding, so padding sorts last in every frame."""
         ra, rb = self.params.regions
-        t, x = [], []
-        for region, count, offset in (
-            (ra, self.n_a, np.ones_like(self.n_a)),
-            (rb, self.n_b, 2 + 2 * self.n_a),
+        self.width_a = int(self.n_a.max())
+        shape = (self.u.shape[0], self.width_a + int(self.n_b.max()))
+        t, x = np.empty(shape), np.empty(shape)
+        for region, count, offset, part in (
+            (ra, self.n_a, np.ones_like(self.n_a), slice(0, self.width_a)),
+            (rb, self.n_b, 2 + 2 * self.n_a, slice(self.width_a, None)),
         ):
             cols = np.arange(int(count.max()))
-            mask = cols < count[:, None]
-            times = region.t_min + (region.t_max - region.t_min) * _gather(
-                self.u, offset[:, None] + cols
+            times = _scaled(self.u, offset[:, None] + cols, region.t_min, region.t_max)
+            times[cols >= count[:, None]] = np.inf
+            times.sort(axis=1)
+            t[:, part] = times
+            x[:, part] = _scaled(
+                self.u, (offset + count)[:, None] + cols, region.x_min, region.x_max
             )
-            t.append(np.sort(np.where(mask, times, np.inf), axis=1))
-            x.append(region.x_min + (region.x_max - region.x_min) * _gather(
-                self.u, (offset + count)[:, None] + cols
-            ))
-        self.width_a = t[0].shape[1]
-        return np.hstack(t), np.hstack(x)
+        return t, x
 
     def hidden_variables(self) -> tuple[np.ndarray, np.ndarray]:
         """local_hv's (lambda, mechanism bit) of each run."""
-        base = self.base[:, None]
         self.draw_to(int(self.base[self.conclusive].max()) + 2)
-        return 2.0 * math.pi * _gather(self.u, base)[:, 0], _gather(self.u, base + 1)[:, 0] >= 0.5
+        lam, mech = _gather(self.u, self.base[:, None] + np.arange(2)).T
+        return 2.0 * math.pi * lam, mech >= 0.5
 
-    def processing_order(self, t, x, rapidity: float):
+    def processing_order(self, keys):
         """Each run's flash columns in the order their channels are drawn
-        (the time order of the frame of ``rapidity``), which of those are
-        A flashes, and the positions of each run's first A and first B
-        flash in that order."""
-        order = _time_order(_frame_times(t, x, rapidity))
+        (the order of ``keys``, the flash times in the processing frame),
+        which of those are A flashes, and the positions of each run's
+        first A and first B flash in that order."""
+        order = _time_order(keys)
         in_a = order < self.width_a
         return order, in_a, np.argmax(in_a, axis=1), np.argmax(~in_a, axis=1)
 
-    def decisions(self, pairs, side_a, steps):
-        """Per settings pair, the channel decisions (True for +1) of each
-        run's first steps[run] flashes in processing order, shape (runs,
-        max steps); ``side_a`` marks the A flashes in that order."""
+    def decisions(self, arms, side_a, steps):
+        """Per arm, the channel decisions (True for +1) of each run's first
+        steps[run] flashes in processing order, shape (runs, max steps).
+        An arm is the cos and sin of each run's half setting angles, each
+        of shape (2 sides, runs); ``side_a`` marks the A flashes in that
+        order."""
         self.draw_to(int((self.base + steps).max()))
         # runs sorted by steps, longest first, so that the runs still
         # collapsing at step k are a prefix of the rows
         by_steps = np.argsort(-steps, kind="stable")
         steps = steps[by_steps]
         width = int(steps[0])
-        draws = _gather(self.u[by_steps], self.base[by_steps, None] + np.arange(width))
+        draws = _gather(self.u, self.base[:, None] + np.arange(width))[by_steps]
         live = [int(np.count_nonzero(steps > k)) for k in range(width)]
         side_a = side_a[by_steps, :width]
-        for pair in pairs:
+        for cos, sin in arms:
             plus = np.empty_like(draws, dtype=bool)
-            plus[by_steps] = _collapse(self.params, pair, side_a, draws, live)
+            plus[by_steps] = _collapse(
+                self.params, cos[:, by_steps], sin[:, by_steps], side_a, draws, live
+            )
             yield plus
 
 
-def _frame_times(t: np.ndarray, x: np.ndarray, rapidity: float) -> np.ndarray:
+def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
     """Frame time t cosh(chi) - x sinh(chi) of each flash, as boost_time
-    computes it; inf on padding, as cosh and sinh are finite."""
-    return t * math.cosh(rapidity) - x * math.sinh(rapidity)
+    computes it, from math.cosh and math.sinh of the rapidity (a scalar
+    or a column per run); inf on padding, as cosh and sinh are finite."""
+    keys = t * cosh
+    keys -= x * sinh
+    return keys
 
 
 def _time_order(keys: np.ndarray) -> np.ndarray:
@@ -614,36 +706,73 @@ def _time_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable")
 
 
-def _kernel_block(
-    model: ModelId, pairs: list[SettingPair], rapidity: float, params: ModelParams, seeds
-) -> np.ndarray:
+class _Stack(NamedTuple):
+    """Per-request values of a sweep, with requests on the last axis, or
+    runs once ``take`` has given each run its request's values.
+
+    Every value comes from math on that request's scalars, as in
+    _simulate_run: numpy's cos or cosh over an array may differ from
+    math's in the last bit, and then a probability compared against a
+    uniform is no longer the same double.
+    """
+
+    angle: np.ndarray  # settings angles, (arms, 2 sides, ...)
+    cos: np.ndarray  # cos and sin of half the settings angles, (arms, 2 sides, ...)
+    sin: np.ndarray
+    cosh: np.ndarray  # cosh and sinh of the processing rapidity, (...)
+    sinh: np.ndarray
+
+    def take(self, req: np.ndarray) -> "_Stack":
+        return _Stack(*(values[..., req] for values in self))
+
+
+def _stack(model: ModelId, requests) -> _Stack:
+    """The _Stack of requests with one number of arms; the decisions of
+    preferred_frame follow rapidity 0 whatever the frame."""
+
+    def per_side(f):
+        return np.array(
+            [[(f(p.a.angle), f(p.b.angle)) for p in r.arms] for r in requests], dtype=float
+        ).transpose(1, 2, 0)
+
+    frame_ordered = _MODELS[model].frame_ordered
+    rapidity = [r.frame.rapidity if frame_ordered else 0.0 for r in requests]
+    return _Stack(
+        angle=per_side(float),
+        cos=per_side(lambda theta: math.cos(0.5 * theta)),
+        sin=per_side(lambda theta: math.sin(0.5 * theta)),
+        cosh=np.array([math.cosh(chi) for chi in rapidity]),
+        sinh=np.array([math.sinh(chi) for chi in rapidity]),
+    )
+
+
+def _kernel_block(model: ModelId, rows: _Stack, params: ModelParams, seeds) -> np.ndarray:
     """Outcome cell of each run under each arm, shape (arms, runs), as an
-    index into OUTCOME_CELLS; -1 marks an inconclusive run."""
-    cells = np.full((len(pairs), seeds.size), -1, dtype=np.intp)
+    index into OUTCOME_CELLS; -1 marks an inconclusive run.  ``rows``
+    holds each run's settings and rapidity."""
+    cells = np.full((rows.angle.shape[0], seeds.size), -1, dtype=np.intp)
     block = _Patterns(params, seeds)
     conclusive = block.conclusive
     if not conclusive.any():
         return cells
 
-    spec = _MODELS[model]
-    if spec.local_channels:
+    if _MODELS[model].local_channels:
         lam, mech = block.hidden_variables()
         lam, mech = lam[conclusive], mech[conclusive]
-        for arm, pair in enumerate(pairs):
-            plus_a = _lhv_plus(pair.a.angle, lam, mech)
-            plus_b = ~_lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+        for arm, (theta_a, theta_b) in enumerate(rows.angle[..., conclusive]):
+            plus_a = _lhv_plus(theta_a, lam, mech)
+            plus_b = ~_lhv_plus(theta_b, lam, mech)  # side B outputs the negation
             cells[arm, conclusive] = _cell(plus_a, plus_b)
         return cells
 
     block.draw_to(int(block.base[conclusive].max()))
-    t, x = block.coordinates()
-    _, in_a, first_a, first_b = block.processing_order(
-        t, x, rapidity if spec.frame_ordered else 0.0
-    )
+    in_a, first_a, first_b = block.processing_order(
+        _frame_times(*block.coordinates(), rows.cosh[:, None], rows.sinh[:, None])
+    )[1:]
     steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
     runs = np.flatnonzero(conclusive)
     first_a, first_b = first_a[runs], first_b[runs]
-    for arm, plus in enumerate(block.decisions(pairs, in_a, steps)):
+    for arm, plus in enumerate(block.decisions(zip(rows.cos, rows.sin), in_a, steps)):
         cells[arm, runs] = _cell(plus[runs, first_a], plus[runs, first_b])
     return cells
 
@@ -671,9 +800,10 @@ class FlashBlock(NamedTuple):
 
 
 def _flash_block(
-    model: ModelId, pair: SettingPair, frame: Frame, params: ModelParams, seeds, first_id: int
+    model: ModelId, rows: _Stack, frame: Frame, params: ModelParams, seeds, first_id: int
 ) -> FlashBlock:
-    """Every flash of each run, with its channel, and each run's outcome."""
+    """Every flash of each run, with its channel, and each run's outcome;
+    ``rows`` holds each run's one settings pair and processing rapidity."""
     block = _Patterns(params, seeds)
     conclusive = block.conclusive
     steps = np.where(conclusive, block.n_a + block.n_b, 0)
@@ -682,11 +812,11 @@ def _flash_block(
         empty = np.empty(0)
         return FlashBlock(*(empty,) * 7, cells)
 
-    spec = _MODELS[model]
-    if spec.local_channels:
+    if _MODELS[model].local_channels:
         lam, mech = block.hidden_variables()
-        plus_a = _lhv_plus(pair.a.angle, lam, mech)
-        plus_b = ~_lhv_plus(pair.b.angle, lam, mech)  # side B outputs the negation
+        theta_a, theta_b = rows.angle[0]
+        plus_a = _lhv_plus(theta_a, lam, mech)
+        plus_b = ~_lhv_plus(theta_b, lam, mech)  # side B outputs the negation
         t, x = block.coordinates()
         plus = np.where(np.arange(t.shape[1]) < block.width_a, plus_a[:, None], plus_b[:, None])
         cells[conclusive] = _cell(plus_a, plus_b)[conclusive]
@@ -694,15 +824,15 @@ def _flash_block(
         block.draw_to(int((block.base + steps).max()))
         t, x = block.coordinates()
         order, in_a, first_a, first_b = block.processing_order(
-            t, x, frame.rapidity if spec.frame_ordered else 0.0
+            _frame_times(t, x, rows.cosh[:, None], rows.sinh[:, None])
         )
-        (decided,) = block.decisions([pair], in_a, steps)
+        (decided,) = block.decisions(zip(rows.cos, rows.sin), in_a, steps)
         plus = np.zeros(t.shape, dtype=bool)
         np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
         runs = np.flatnonzero(conclusive)
         cells[runs] = _cell(decided[runs, first_a[runs]], decided[runs, first_b[runs]])
 
-    t_frame = _frame_times(t, x, frame.rapidity)
+    t_frame = _frame_times(t, x, math.cosh(frame.rapidity), math.sinh(frame.rapidity))
     report = _time_order(t_frame)
     run = np.repeat(np.arange(seeds.size), steps)
     col = report[np.arange(report.shape[1]) < steps[:, None]]
@@ -750,9 +880,12 @@ class FlashEnsemble:
     def __iter__(self):
         self.counts = dict.fromkeys(OUTCOME_CELLS, 0)
         self.inconclusive = 0
+        request = EnsembleRequest((self.pair,), self.frame, self.n, self.master_seed)
+        stack = _stack(self.model, [request])
         for start in range(0, self.n, _FLASH_BLOCK):
             seeds = mix_seeds(self.master_seed, start, min(self.n, start + _FLASH_BLOCK))
-            block = _flash_block(self.model, self.pair, self.frame, self.params, seeds, start)
+            rows = stack.take(np.zeros(seeds.size, dtype=np.intp))
+            block = _flash_block(self.model, rows, self.frame, self.params, seeds, start)
             inconclusive, *tally = np.bincount(block.cells + 1, minlength=5).tolist()
             self.inconclusive += inconclusive
             for cell, k in zip(OUTCOME_CELLS, tally):
@@ -760,7 +893,7 @@ class FlashEnsemble:
             yield block
 
 
-def _lhv_plus(theta: float, lam: np.ndarray, mech: np.ndarray) -> np.ndarray:
+def _lhv_plus(theta: np.ndarray, lam: np.ndarray, mech: np.ndarray) -> np.ndarray:
     """_lhv_channel(theta, lam, mech) == 1, over runs."""
     arg = np.where(mech, 2.0 * (theta - lam), theta - lam)
     value = np.cos(arg)
@@ -771,9 +904,10 @@ def _lhv_plus(theta: float, lam: np.ndarray, mech: np.ndarray) -> np.ndarray:
     return value >= 0.0
 
 
-def _collapse(params, pair, side_a, draws, live) -> np.ndarray:
+def _collapse(params, cos, sin, side_a, draws, live) -> np.ndarray:
     """Channel decisions (True for +1) of the first len(live) processed
     flashes of each run; rows are sorted so step k touches rows [:live[k]].
+    ``cos`` and ``sin`` hold each row's half setting angles, (2 sides, runs).
 
     The 2x2 amplitude matrix is held as m[i, j, re/im, run]: a side-A
     flash contracts rows (f_j = c m[0, j] + s m[1, j]), a side-B flash
@@ -785,15 +919,12 @@ def _collapse(params, pair, side_a, draws, live) -> np.ndarray:
     m[:, :, 0] = amps.real[..., None]
     m[:, :, 1] = amps.imag[..., None]
     eps = params.epsilon
-    half_a, half_b = 0.5 * pair.a.angle, 0.5 * pair.b.angle
-    cos_ab = (math.cos(half_a), math.cos(half_b))
-    sin_ab = (math.sin(half_a), math.sin(half_b))
     plus = np.zeros(draws.shape, dtype=bool)
     for k, n_live in enumerate(live):
         mk = m[..., :n_live]
         is_a = side_a[:n_live, k]
-        c = np.where(is_a, cos_ab[0], cos_ab[1])
-        s = np.where(is_a, sin_ab[0], sin_ab[1])
+        c = np.where(is_a, cos[0, :n_live], cos[1, :n_live])
+        s = np.where(is_a, sin[0, :n_live], sin[1, :n_live])
         first = np.where(is_a, mk[0], mk[:, 0])
         second = np.where(is_a, mk[1], mk[:, 1])
         f = c * first + s * second

@@ -17,6 +17,8 @@ are replayable from (master_seed, i) alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,9 +29,16 @@ BITS_PER_UNIFORM = 32
 
 
 class BitsExhausted(RuntimeError):
-    """A bit-driven run asked for more uniforms than its budget holds."""
+    """A bit-driven run asked for more uniforms than its budget holds.
 
-    def __init__(self, label: str, consumed: int, budget: int):
+    ``label`` names the draw that starved, as a string or as a tuple of
+    parts that are joined here, so that draws only pay for the name when
+    one is needed.
+    """
+
+    def __init__(self, label, consumed: int, budget: int):
+        if isinstance(label, tuple):
+            label = "".join(map(str, label))
         self.draw_label = label
         self.consumed = consumed
         self.budget = budget
@@ -65,7 +74,7 @@ class GeneratorSource:
     def __init__(self, seed: int):
         self._next = np.random.Generator(np.random.PCG64(seed)).random
 
-    def uniform(self, label: str = "") -> float:
+    def uniform(self, label: str | tuple = "") -> float:
         return self._next()
 
 
@@ -96,7 +105,7 @@ class BitSource:
     def bits_consumed(self) -> int:
         return self._pos * BITS_PER_UNIFORM
 
-    def uniform(self, label: str = "") -> float:
+    def uniform(self, label: str | tuple = "") -> float:
         if self._pos >= self._words.size:
             raise BitsExhausted(label, self.bits_consumed, self._n_bits)
         u = float(self._words[self._pos]) * _INV_2_32
@@ -204,9 +213,10 @@ def _words128(values: list[int]) -> tuple:
 # a batch within _JUMP_CELLS values, which stay in cache: few streams get
 # wide batches, thousands of streams narrow ones.
 _JUMP = 64
-_JUMP_CELLS = 1 << 15
+_JUMP_CELLS = 1 << 14
 
 
+@functools.cache
 def _jump_table() -> tuple[tuple, tuple]:
     mult, incr, mults, incrs = 1, 0, [], []
     for _ in range(_JUMP):
@@ -224,38 +234,50 @@ class PCG64Streams:
     ``np.random.Generator(np.random.PCG64(seed)).random()`` would.
     """
 
-    __slots__ = ("_hi", "_lo", "_inc_hi", "_inc_lo", "_jumps")
+    __slots__ = ("_hi", "_lo", "_mults", "_incs", "_batch")
 
     def __init__(self, seeds: np.ndarray):
-        state_hi, state_lo, seq_hi, seq_lo = _seed_sequence_words(np.asarray(seeds, dtype=_U64))
-        self._jumps = _jump_table()
+        seeds = np.asarray(seeds, dtype=_U64)
+        state_hi, state_lo, seq_hi, seq_lo = _seed_sequence_words(seeds)
         # pcg_setseq_128_srandom_r: state 0, inc = (seq << 1) | 1, step
         # (giving inc), add the initial state, step
-        self._inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
-        self._inc_lo = (seq_lo << _U64(1)) | _U64(1)
-        self._lo = self._inc_lo + state_lo
-        self._hi = self._inc_hi + state_hi + (self._lo < state_lo)
+        inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+        inc_lo = (seq_lo << _U64(1)) | _U64(1)
+        self._batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, seeds.size)))
+        self._mults, incrs = _jump_table()
+        # incr_j * inc does not depend on the state, so every batch reuses it
+        self._incs = _mul128(inc_hi, inc_lo, tuple(w[: self._batch] for w in incrs))
+        self._lo = inc_lo + state_lo
+        self._hi = inc_hi + state_hi + (self._lo < state_lo)
         self._advance(1)
 
     def _advance(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The states after 1..k steps, as (k, streams) arrays; keeps the last."""
-        mults, incrs = ([w[:k] for w in words] for words in self._jumps)
-        a_hi, a_lo = _mul128(self._hi, self._lo, mults)
-        c_hi, c_lo = _mul128(self._inc_hi, self._inc_lo, incrs)
+        """The states after 1..k <= batch steps, as (k, streams) arrays;
+        keeps the last."""
+        a_hi, a_lo = _mul128(self._hi, self._lo, tuple(w[:k] for w in self._mults))
+        c_hi, c_lo = self._incs[0][:k], self._incs[1][:k]
         lo = a_lo + c_lo
         hi = a_hi + c_hi + (lo < c_lo)
-        self._hi, self._lo = hi[-1], lo[-1]
+        self._hi, self._lo = hi[-1].copy(), lo[-1].copy()  # not views that keep hi, lo alive
         return hi, lo
 
     def random(self, k: int) -> np.ndarray:
-        out = np.empty((self._lo.size, k))
-        batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, self._lo.size)))
-        for start in range(0, k, batch):
-            width = min(batch, k - start)
-            hi, lo = self._advance(width)
-            # XSL-RR output, then Generator.random's next_double
-            x = hi ^ lo
-            rot = hi >> _U64(58)
-            x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-            out[:, start : start + width] = ((x >> _U64(11)).astype(np.float64) * _TO_DOUBLE).T
+        return self.fill(np.empty((self._lo.size, k)))
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """``out`` (streams, k), filled with the next k values of each stream."""
+        k = out.shape[1]
+        for start in range(0, k, self._batch):
+            out[:, start : start + self._batch] = _next_double(
+                *self._advance(min(self._batch, k - start))
+            ).T
         return out
+
+
+def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The XSL-RR output of each 128-bit state, then Generator.random's
+    next_double."""
+    x = hi ^ lo
+    rot = hi >> _U64(58)
+    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    return (x >> _U64(11)).astype(np.float64) * _TO_DOUBLE

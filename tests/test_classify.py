@@ -10,7 +10,9 @@ from flashlab.classify import (
     ClassifyConfig,
     chsh_estimate,
     classify,
+    collect_samples,
     default_frames_probe,
+    paired_flip_fraction,
     test_effective_causality as eff_causality_test,
     test_effective_locality as eff_locality_test,
     test_locality as locality_test,
@@ -19,13 +21,17 @@ from flashlab.classify import (
 )
 from flashlab.minkowski import Frame
 from flashlab.models import (
+    OUTCOME_CELLS,
     InconclusiveRunError,
     ModelId,
     ModelParams,
     run_local_hv,
     run_preferred_frame,
+    run_rgrwf,
 )
-from flashlab.quantum import Outcome
+from flashlab.quantum import Outcome, SettingPair, born_joint
+from flashlab.randomness import mix_seed
+from flashlab.stats import chi2_gof
 
 FAST = ClassifyConfig(master_seed=97, n_qf=1200, n_nosig=2000, n_locality=2000, n_eff=800)
 
@@ -85,6 +91,60 @@ def test_classify_deterministic():
     r1 = classify(ModelId.LOCAL_HV, config=cfg)
     r2 = classify(ModelId.LOCAL_HV, config=cfg)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+SCALAR_RUNNERS = {
+    ModelId.RGRWF: run_rgrwf,
+    ModelId.PREFERRED_FRAME: run_preferred_frame,
+    ModelId.LOCAL_HV: run_local_hv,
+}
+
+
+@pytest.mark.parametrize("master_seed", [3, 11])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_classify_matches_tests_one_by_one(model, master_seed):
+    # classify() runs the five tests' requests as two stacked sweeps; each
+    # result, details included, must be what the test gives on its own,
+    # run through the kernel and through the scalar runner run by run
+    config = ClassifyConfig(master_seed=master_seed, n_qf=60, n_nosig=80, n_locality=100,
+                            n_eff=40)
+    params = ModelParams()
+    report = classify(model, params, config)
+    seeds = report.seeds
+    frames = default_frames_probe(params)
+    for runner in (model, SCALAR_RUNNERS[model]):
+        alone = [
+            qf_test(runner, params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
+            no_signalling_test(runner, params, config.n_nosig, seeds["no_signalling"]),
+            locality_test(runner, params, config.n_locality, seeds["locality"]),
+            eff_locality_test(runner, params, frames, config.n_eff, seeds["effective_locality"]),
+            eff_causality_test(runner, params, frames, config.n_eff,
+                               seeds["effective_causality"]),
+        ]
+        for result in alone:
+            got = report.results[result.name]
+            assert (got, got.details) == (result, result.details), (runner, result.name)
+
+
+def test_sample_and_probe_helpers_match_the_battery():
+    # collect_samples and paired_flip_fraction are one cell and one probe
+    # of the battery, with the seeds classify() derives for them
+    model, params = ModelId.PREFERRED_FRAME, ModelParams()
+    config = ClassifyConfig(master_seed=5, n_qf=60, n_nosig=80, n_locality=100, n_eff=40)
+    report = classify(model, params, config)
+    pair = SettingPair(*config.qf_grid[1])
+    sample = collect_samples(model, params, pair, Frame(0.0), config.n_qf,
+                             mix_seed(report.seeds["qf_agreement"], 1))
+    expected = born_joint(params.state, pair)
+    p_value = chi2_gof([sample.counts[c] for c in OUTCOME_CELLS],
+                       [expected[c] for c in OUTCOME_CELLS]).p_value
+    assert p_value == report.results["qf_agreement"].details["p_values"][1]
+    seed = report.seeds["effective_causality"]
+    probes = report.results["effective_causality"].details["probes"]
+    assert sum(p["flips"] for p in probes) > 0
+    for k, probe in enumerate(probes):
+        assert paired_flip_fraction(model, params, probe["frame"], probe["earlier"], config.n_eff,
+                                    mix_seed(seed, 1000 + k)) == probe
 
 
 def _signalling_toy(settings, frame, seed, params=None, record_trace=True):

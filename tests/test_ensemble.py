@@ -19,17 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashlab.cli import main
-from flashlab.minkowski import Frame, Region, boost_time
+from flashlab.minkowski import Frame, Region, boost_time, order_flip_rapidity
 from flashlab.models import (
     _FLASH_BLOCK,
+    _KERNEL_BLOCK,
     OUTCOME_CELLS,
     InconclusiveRunError,
     ModelId,
+    EnsembleRequest,
     ModelParams,
     _kernel_block,
     _poisson_cdf_table,
     _poisson_inverse,
+    _stack,
     ensemble,
+    ensembles,
     run_local_hv,
     run_preferred_frame,
     run_rgrwf,
@@ -61,7 +65,9 @@ def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
 
 def assert_run_for_run(model, pairs, frame, params, n, master_seed):
     seeds = mix_seeds(master_seed, 0, n)
-    got = _kernel_block(model, [SettingPair(*p) for p in pairs], frame.rapidity, params, seeds)
+    request = EnsembleRequest([SettingPair(*p) for p in pairs], frame, n, master_seed)
+    rows = _stack(model, [request]).take(np.zeros(n, dtype=np.intp))
+    got = _kernel_block(model, rows, params, seeds)
     want = scalar_cells(model, [SettingPair(*p) for p in pairs], frame, params, seeds.tolist())
     mismatched = np.flatnonzero((got != want).any(axis=0))
     assert mismatched.size == 0, (
@@ -146,7 +152,7 @@ def test_kernel_matches_scalar_complex_state_and_rates(model, rate):
 
 @pytest.mark.parametrize("model", list(ModelId))
 def test_ensemble_counts_across_blocks(model):
-    # 5000 runs span two kernel blocks; the joint table must equal the
+    # 5000 runs span three kernel blocks; the joint table must equal the
     # scalar runs tallied one by one
     pairs = [SettingPair(0.0, 1.0), SettingPair(0.0, 2.0)]
     params = ModelParams(flash_rate=1.0)
@@ -172,6 +178,35 @@ def test_ensemble_custom_runner_uses_scalar_loop():
                                                  300, 4)
     np.testing.assert_array_equal(joint, kernel_joint)
     assert inconclusive == kernel_inconclusive
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_batch_matches_separate_calls(model, epsilon):
+    # one and two arms, the order-flip frame among others, n = 1 and n on
+    # both sides of a block boundary: every request of the stacked batch
+    # gets exactly the counts of its own ensemble call
+    params = ModelParams(epsilon=epsilon)
+    flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
+    requests = [
+        EnsembleRequest([(0.0, 1.0)], Frame(0.0), 1, 3),
+        EnsembleRequest([(0.4, 1.3), (0.4, 2.9)], flip, _KERNEL_BLOCK + 37, 5),
+        EnsembleRequest([(2.2, 0.9)], Frame(-0.7), 300, 7),
+        EnsembleRequest([(0.0, 0.0), (math.pi / 2, 0.0)], Frame(1.0), 1, 11),
+        EnsembleRequest([(1.0, 5.0)], flip, _KERNEL_BLOCK - 5, 13),
+        EnsembleRequest([(0.0, math.pi / 2), (0.0, 0.0)], Frame(-1.0), 700, 17),
+        EnsembleRequest([(3.0, 0.5)], Frame(2.0), 450, 19),
+    ]
+    batch = ensembles(model, requests, params)
+    assert len(batch) == len(requests)
+    for request, (joint, inconclusive) in zip(requests, batch):
+        want_joint, want_inconclusive = ensemble(
+            model, request.arms, request.frame, params, request.n, request.master_seed
+        )
+        np.testing.assert_array_equal(joint, want_joint)
+        assert joint.shape == (4,) * len(request.arms)
+        assert inconclusive == want_inconclusive
+        assert int(joint.sum()) + inconclusive == request.n
 
 
 @st.composite
