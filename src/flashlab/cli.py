@@ -66,7 +66,10 @@ def _bool(raw: str) -> bool:
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split())
+    values = tuple(float(p) for p in raw.split())
+    if not values:
+        raise ValueError("no numbers")
+    return values
 
 
 def parse_config_file(path: str) -> dict:
@@ -227,12 +230,18 @@ class RunConfig:
             value = self._count(None, "classify", key, None, 1)
             if value is not None:
                 kwargs[key] = value
-        frames = self._value(None, "classify", "frames_probe", None, _floats, "numbers")
+        numbers = "one or more numbers"
+        frames = self._value(None, "classify", "frames_probe", None, _floats, numbers)
         if frames is not None:
             kwargs["frames_probe"] = tuple(Frame(chi) for chi in frames)
-        a_grid = self._value(None, "classify", "a_grid", None, _floats, "numbers")
-        b_grid = self._value(None, "classify", "b_grid", None, _floats, "numbers")
-        if a_grid is not None and b_grid is not None:
+        a_grid = self._value(None, "classify", "a_grid", None, _floats, numbers)
+        b_grid = self._value(None, "classify", "b_grid", None, _floats, numbers)
+        if (a_grid is None) != (b_grid is None):
+            given = "a_grid" if b_grid is None else "b_grid"
+            raise ConfigError(
+                f"{self._anchor('classify', given)}: a_grid and b_grid must be set together"
+            )
+        if a_grid is not None:
             kwargs["qf_grid"] = tuple((a, b) for a in a_grid for b in b_grid)
         return ClassifyConfig(**kwargs)
 

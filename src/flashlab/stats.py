@@ -6,9 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# the chi-square survival function that scipy.stats.chi2.sf calls, without
-# the second or so that importing scipy.stats takes
-from scipy.special import chdtrc
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ def chi2_gof(observed, expected_probs) -> ChiSquareResult:
     df = obs.size - 1
     if df <= 0:
         return ChiSquareResult(stat, 0, 1.0)
-    return ChiSquareResult(stat, df, float(chdtrc(df, stat)))
+    return ChiSquareResult(stat, df, _chi2_sf(df, stat))
 
 
 def chi2_homogeneity(counts_a, counts_b) -> ChiSquareResult:
@@ -70,7 +67,18 @@ def chi2_homogeneity(counts_a, counts_b) -> ChiSquareResult:
     df = a.size - 1
     if df <= 0:
         return ChiSquareResult(stat, 0, 1.0)
-    return ChiSquareResult(stat, df, float(chdtrc(df, stat)))
+    return ChiSquareResult(stat, df, _chi2_sf(df, stat))
+
+
+def _chi2_sf(df: int, stat: float) -> float:
+    """Chi-square survival function: the cephes ``chdtrc`` that
+    scipy.stats.chi2.sf calls.  scipy.special is imported here, on the
+    first p-value, so that a process which computes none (``run``,
+    ``certify``, ``report``) never pays for that import, most of the
+    package's start-up."""
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, stat))
 
 
 def bonferroni(p_values) -> float:

@@ -116,6 +116,11 @@ def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
         ("certify", "theta = 0", "theta must lie in (0, pi/2), got 0.0"),
         ("certify", "theta = nan", "theta must lie in (0, pi/2), got nan"),
         ("certify", "theta = 2", "theta must lie in (0, pi/2), got 2.0"),
+        ("classify", "a_grid = 0 0.5", "a_grid and b_grid must be set together"),
+        ("classify", "b_grid = 0.5", "a_grid and b_grid must be set together"),
+        ("classify", "a_grid =", "a_grid must be one or more numbers"),
+        ("classify", "b_grid = 0 x", "b_grid must be one or more numbers"),
+        ("classify", "frames_probe =", "frames_probe must be one or more numbers"),
     ],
 )
 def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, command, entry,
@@ -247,10 +252,59 @@ def test_report_rejects_garbage(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, flashlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+def _python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports flashlab
+    from this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")},
     ).stdout
-    assert out == "False\n"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy is imported on the first p-value, which only classify computes
+    code = ("import sys, flashlab, flashlab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert _python(code) == "[]\n"
+
+
+# Runs each argv list (JSON) through flashlab.cli.main and prints one
+# [exit code, stdout] pair per call as JSON.
+_CALLS = """
+import contextlib, io, json, sys
+from flashlab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([rc, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_without_scipy_match_a_normal_interpreter(tmp_path):
+    """run, certify, report and --help compute no p-value, so they run where
+    scipy cannot be imported, and write the same bytes as with it."""
+    cfg = tmp_path / "certify.ini"
+    cfg.write_text("[certify]\nk_max = 1\n")
+    outputs = {}
+    no_scipy = "import sys; sys.modules['scipy'] = None\n"  # every scipy import fails
+    for label, prelude in (("normal", ""), ("no_scipy", no_scipy)):
+        out = tmp_path / label
+        calls = [
+            ["run", "--model", "rgrwf", "--n", "300", "--seed", "5", "--csv", "--out", str(out)],
+            ["certify", "--config", str(cfg), "--seed", "5", "--out", str(out)],
+            ["report", str(out / "run_rgrwf.json")],
+            ["report", str(out / "certificate.json")],
+            ["--help"],
+        ]
+        results = json.loads(_python(prelude + _CALLS, json.dumps(calls)))
+        assert [rc for rc, _ in results] == [0] * len(calls), results
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(files) == ["certificate.json", "flashes_rgrwf.csv", "run_rgrwf.json"]
+        outputs[label] = (files, [text for _, text in results])
+    assert outputs["no_scipy"] == outputs["normal"]
