@@ -265,12 +265,17 @@ class RunConfig:
 @contextlib.contextmanager
 def _atomic_output(path: Path):
     """Yield a temporary path beside ``path``, creating the directory; on
-    success move the file written there onto ``path``, else delete it."""
+    success move the file written there onto ``path``, else delete it.
+    The file gets the mode open() would give a new file under the
+    current umask, not mkstemp's 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
         yield Path(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

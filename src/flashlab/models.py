@@ -573,12 +573,12 @@ def _block_rows(requests, ends: np.ndarray, start: int, stop: int) -> tuple[np.n
 # real operations in the same order as the scalar complex arithmetic, so
 # every probability compared against a uniform is the same double.
 
-# Rows per kernel block.  Peak memory grows with it: a benchmark-size
-# classify battery (7,750 runs per model) adds about 5.5 MB to the peak RSS
-# over import at 2,048 rows, and about twice that at 4,096.
+# Rows (runs) per kernel block, on the counts and the flash path.  Peak
+# memory grows with it: a benchmark-size classify battery (7,750 runs per
+# model) adds about 5.5 MB to the peak RSS over import at 2,048 rows, and
+# about twice that at 4,096; a benchmark-size run --csv (5,000 runs, about
+# 50,000 flashes) peaks about 7 MB higher at 2,048 rows than at 512.
 _KERNEL_BLOCK = 2048
-# Smaller, because each flash row becomes Python objects in the CSV writer.
-_FLASH_BLOCK = 512
 
 
 def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -868,6 +868,8 @@ class FlashEnsemble:
         n: int = 10_000,
         master_seed: int = 0,
     ):
+        if n < 0:
+            raise ValueError("n must be >= 0")
         self.model = ModelId(model)
         self.pair = _coerce_pair(settings)
         self.frame = frame
@@ -882,8 +884,8 @@ class FlashEnsemble:
         self.inconclusive = 0
         request = EnsembleRequest((self.pair,), self.frame, self.n, self.master_seed)
         stack = _stack(self.model, [request])
-        for start in range(0, self.n, _FLASH_BLOCK):
-            seeds = mix_seeds(self.master_seed, start, min(self.n, start + _FLASH_BLOCK))
+        for start in range(0, self.n, _KERNEL_BLOCK):
+            seeds = mix_seeds(self.master_seed, start, min(self.n, start + _KERNEL_BLOCK))
             rows = stack.take(np.zeros(seeds.size, dtype=np.intp))
             block = _flash_block(self.model, rows, self.frame, self.params, seeds, start)
             inconclusive, *tally = np.bincount(block.cells + 1, minlength=5).tolist()
@@ -952,19 +954,41 @@ def write_flash_csv(path, blocks) -> int:
     t_lab, x_lab, t_frame, channel, index.  Coordinates are written as
     the repr of the double, and rows end in CRLF, as csv.writer ends them.
 
-    ``blocks`` yields FlashBlocks, such as a FlashEnsemble does.  Returns
-    the number of rows written.
+    ``blocks`` yields FlashBlocks, such as a FlashEnsemble does; the file
+    is written in binary mode, a block at a time.  Returns the number of
+    rows written.
     """
     rows = 0
-    with open(path, "w", newline="") as fh:
-        fh.write("run_id,region,t_lab,x_lab,t_frame,channel,index\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"run_id,region,t_lab,x_lab,t_frame,channel,index\r\n")
         for block in blocks:
-            columns = (block.run_id, block.region, block.t_lab, block.x_lab, block.t_frame,
-                       block.channel, block.index)
-            fh.write("".join(
-                f"{run_id},{region},{t!r},{x!r},{t_frame!r},{channel},{index}\r\n"
-                for run_id, region, t, x, t_frame, channel, index
-                in zip(*(c.tolist() for c in columns))
-            ))
-            rows += block.run_id.size
+            if block.run_id.size:
+                table = _row_table(block).ravel()
+                fh.write(table[table != 0])
+                rows += block.run_id.size
     return rows
+
+
+def _row_table(block: FlashBlock) -> np.ndarray:
+    """A block's CSV rows as a byte table, a row per flash, with NUL bytes
+    to be dropped."""
+    # imported here, so that only a command that writes the CSV loads it
+    from .numtext import int_chars, repr_chars
+
+    n = block.run_id.size
+    fields = [int_chars(block.run_id), _label_chars(block.region), repr_chars(block.t_lab),
+              repr_chars(block.x_lab), repr_chars(block.t_frame), int_chars(block.channel),
+              int_chars(block.index)]
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    parts = [part for field in fields for part in (field, comma)]
+    parts[-1] = np.full((n, 2), (ord("\r"), ord("\n")), dtype=np.uint8)
+    return np.hstack(parts)
+
+
+def _label_chars(labels: np.ndarray) -> np.ndarray:
+    """The characters of each region label, NUL-padded, as numtext's
+    functions give numbers'."""
+    codes = labels.view(np.uint32).reshape(labels.size, -1)
+    if codes.max() > 127:
+        raise ValueError("region labels must be ASCII")
+    return codes.astype(np.uint8)

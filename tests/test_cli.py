@@ -77,6 +77,17 @@ def test_run_csv_into_new_directory(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_output_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        code = run_cli("run", "--n", "20", "--seed", "5", "--out", str(tmp_path), "--csv")
+    finally:
+        os.umask(old)
+    assert code == 0
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"flashes_rgrwf.csv": 0o644, "run_rgrwf.json": 0o644}
+
+
 @pytest.mark.parametrize("rate", ["760", "inf"])
 def test_runaway_flash_rate_is_config_error(tmp_path, capsys, rate):
     cfg = tmp_path / "exp.ini"

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from flashlab.cli import main
 from flashlab.minkowski import Frame, Region, boost_time, order_flip_rapidity
 from flashlab.models import (
-    _FLASH_BLOCK,
     _KERNEL_BLOCK,
     OUTCOME_CELLS,
     InconclusiveRunError,
     ModelId,
     EnsembleRequest,
+    FlashEnsemble,
     ModelParams,
     _kernel_block,
     _poisson_cdf_table,
@@ -249,7 +249,7 @@ def test_kernel_matches_scalar_property(model, params, chi, angles, master_seed)
 # --- flash CSV ---------------------------------------------------------------
 
 # spans two flash blocks and is not a multiple of the block size
-CSV_RUNS = _FLASH_BLOCK + 113
+CSV_RUNS = _KERNEL_BLOCK + 113
 
 
 def scalar_flash_csv(model, pair, frame, params, n, master_seed) -> bytes:
@@ -340,3 +340,13 @@ def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, mode
         state=random_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
     )
     assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ensemble(ModelId.RGRWF, [(0.0, 1.0)], Frame(0.0), n=-1),
+    lambda: ensembles(ModelId.RGRWF, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), -1, 0)]),
+    lambda: FlashEnsemble(ModelId.RGRWF, (0.0, 1.0), Frame(0.0), n=-1),
+], ids=["ensemble", "ensembles", "FlashEnsemble"])
+def test_negative_n_is_rejected(make):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        make()
