@@ -20,14 +20,18 @@ import tempfile
 from pathlib import Path
 
 from .classify import ClassifyConfig, classify, params_digest
-from .determinism import CertifyConfig, no_effectively_causal_nonlocal_determinism_check
+from .determinism import (
+    CertifyConfig,
+    _k_bits_limit,
+    no_effectively_causal_nonlocal_determinism_check,
+)
 from .minkowski import Frame, Region
 from .models import (
     OUTCOME_CELLS,
     FlashEnsemble,
     ModelId,
     ModelParams,
-    outcome_distribution,
+    ensemble,
     write_flash_csv,
 )
 from .quantum import CHSH_ANGLES, PureState, SettingPair, born_joint, chsh_value, singlet
@@ -159,13 +163,14 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self._anchor(section, key)}: {key} must be {what}") from exc
 
-    def _count(self, flag, section, key, default, minimum):
-        """An integer ``_value`` that must be at least ``minimum``."""
+    def _count(self, flag, section, key, default, minimum, maximum=math.inf):
+        """An integer ``_value`` that must lie in [minimum, maximum]."""
         value = self._value(flag, section, key, default, int, "an integer")
-        if value is not None and value < minimum:
-            anchor = f"--{key}" if flag is not None else self._anchor(section, key)
-            raise ConfigError(f"{anchor}: {key} must be >= {minimum}, got {value}")
-        return value
+        if value is None or minimum <= value <= maximum:
+            return value
+        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+        anchor = f"--{key}" if flag is not None else self._anchor(section, key)
+        raise ConfigError(f"{anchor}: {key} must be {bound}, got {value}")
 
     def _resolve_seed(self, args) -> int:
         seed = self._value(args.seed, "experiment", "master_seed", None, int, "an integer")
@@ -246,7 +251,8 @@ class RunConfig:
         return ClassifyConfig(**kwargs)
 
     def certify_config(self) -> CertifyConfig:
-        k_max = self._count(None, "certify", "k_max", 2, 0)
+        # certify enumerates the CHSH settings, 2 per side, for k = 0..k_max
+        k_max = self._count(None, "certify", "k_max", 2, 0, _k_bits_limit(2, 2))
         theta = self._value(None, "certify", "theta", math.pi / 3, float, "a number")
         # the quantum values violate the Wigner inequality only inside (0, pi/2)
         if not 0.0 < theta < math.pi / 2:
@@ -297,28 +303,29 @@ def _sig6(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _require_conclusive(inconclusive: int, n: int) -> None:
+    if inconclusive == n:
+        raise RuntimeError("all runs were inconclusive")
+
+
 def cmd_run(cfg: RunConfig) -> int:
     pair = SettingPair(cfg.a, cfg.b)
     oracle = born_joint(cfg.params.state, pair)
-    csv_path = cfg.out_dir / f"flashes_{cfg.model.value}.csv" if cfg.csv else None
-
-    if csv_path is None:
-        dist = outcome_distribution(
-            cfg.model, pair, cfg.frame, cfg.params, cfg.n, cfg.master_seed
-        )
-        counts, inconclusive = dist.counts, dist.n_inconclusive
-    else:
-        # same seeds and counting as outcome_distribution, streaming flashes
+    if cfg.csv:
+        # same seeds and counting as the plain path, streaming flashes; the
+        # counts are checked before the CSV is moved into place
         flashes = FlashEnsemble(cfg.model, pair, cfg.frame, cfg.params, cfg.n, cfg.master_seed)
-        with _atomic_output(csv_path) as tmp:
+        with _atomic_output(cfg.out_dir / f"flashes_{cfg.model.value}.csv") as tmp:
             write_flash_csv(tmp, flashes)
+            _require_conclusive(flashes.inconclusive, cfg.n)
         counts, inconclusive = flashes.counts, flashes.inconclusive
+    else:
+        joint, inconclusive = ensemble(cfg.model, [pair], cfg.frame, cfg.params, cfg.n,
+                                       cfg.master_seed)
+        _require_conclusive(inconclusive, cfg.n)
+        counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
 
     conclusive = cfg.n - inconclusive
-    if conclusive == 0:
-        print("error: all runs were inconclusive", file=sys.stderr)
-        return 1
-
     lines = [
         f"model {cfg.model.value}  a={_sig6(cfg.a)}  b={_sig6(cfg.b)}  "
         f"frame chi={_sig6(cfg.frame.rapidity)}  n={cfg.n}  seed={cfg.master_seed}",

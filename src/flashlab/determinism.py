@@ -36,7 +36,6 @@ _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-12
 
 MAX_K_BITS = 10
-MAX_SIDE_EXPONENT = 20  # per-side table entries, i.e. strategies per side <= 2^20
 MAX_TOTAL_STRATEGIES = 1 << 20
 
 DEFAULT_BIT_BUDGET = 8192
@@ -116,6 +115,14 @@ def _side_tables(n_settings: int, k_bits: int) -> np.ndarray:
     return tables
 
 
+def _k_bits_limit(n_a: int, n_b: int) -> int:
+    """The largest k_bits for which enumerate_strategies(n_a, n_b, k_bits)
+    stays within MAX_TOTAL_STRATEGIES; -1 if none does.  The count is
+    2^((n_a + n_b) 2^k_bits), so the guard compares exponents and never
+    builds it."""
+    return ((MAX_TOTAL_STRATEGIES.bit_length() - 1) // (n_a + n_b)).bit_length() - 1
+
+
 def enumerate_strategies(
     n_a: int,
     n_b: int,
@@ -136,16 +143,9 @@ def enumerate_strategies(
         raise ValueError("need at least one setting per side")
     if not 0 <= k_bits <= MAX_K_BITS:
         raise ValueError(f"k_bits must lie in [0, {MAX_K_BITS}]")
-    exp_a, exp_b = n_a << k_bits, n_b << k_bits
-    total = 1 << (exp_a + exp_b)
-    if exp_a > MAX_SIDE_EXPONENT or exp_b > MAX_SIDE_EXPONENT:
+    if k_bits > _k_bits_limit(n_a, n_b):
         raise ValueError(
-            f"enumeration guard: per-side table sizes {exp_a}, {exp_b} "
-            f"exceed {MAX_SIDE_EXPONENT} ({total} strategies would be required)"
-        )
-    if total > MAX_TOTAL_STRATEGIES:
-        raise ValueError(
-            f"enumeration guard: would require {total} strategies "
+            f"enumeration guard: would require 2^{(n_a + n_b) << k_bits} strategies "
             f"(limit {MAX_TOTAL_STRATEGIES})"
         )
     sa = tuple(_norm_angle(t) for t in settings_a) if settings_a else _default_settings(n_a, 0.0)

@@ -496,11 +496,13 @@ def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[
         return [_scalar_ensemble(model, r, params) for r in requests]
     model = ModelId(model)
     results = [None] * len(requests)
-    by_arms: dict[int, list[int]] = {}
-    for i, r in enumerate(requests):
-        by_arms.setdefault(len(r.arms), []).append(i)
-    for index in by_arms.values():
-        for i, result in zip(index, _sweep(model, [requests[i] for i in index], params)):
+    for arms in dict.fromkeys(len(r.arms) for r in requests):
+        index = [i for i, r in enumerate(requests) if len(r.arms) == arms]
+        group = [requests[i] for i in index]
+        tally = _Tally(group)
+        for _, req, rows, seeds in _blocks(model, group):
+            tally.add(req, _kernel_block(model, rows, params, seeds))
+        for i, result in zip(index, tally.results()):
             results[i] = result
     return results
 
@@ -520,35 +522,45 @@ def _scalar_ensemble(runner, request: EnsembleRequest, params) -> tuple[np.ndarr
     return joint, request.n - int(joint.sum())
 
 
-def _sweep(model: ModelId, requests, params: ModelParams) -> list[tuple[np.ndarray, int]]:
-    """``ensembles`` for requests with one number of arms: their runs
-    stacked in request order and cut into blocks of _KERNEL_BLOCK rows."""
-    shape = (len(OUTCOME_CELLS),) * len(requests[0].arms)
-    width = math.prod(shape) + 1  # per request: inconclusive, then each joint cell
+def _blocks(model: ModelId, requests):
+    """The runs of requests with one number of arms, stacked in request
+    order and cut into blocks of _KERNEL_BLOCK rows: yields each block's
+    first row, each row's request index, the rows' _Stack and seeds."""
     stack = _stack(model, requests)
     ends = np.cumsum([r.n for r in requests])
-    tally = np.zeros(len(requests) * width, dtype=np.int64)
     for start in range(0, int(ends[-1]), _KERNEL_BLOCK):
-        req, seeds = _block_rows(requests, ends, start, min(int(ends[-1]), start + _KERNEL_BLOCK))
-        cells = _kernel_block(model, stack.take(req), params, seeds)
-        flat = np.ravel_multi_index(tuple(np.maximum(cells, 0)), shape)
+        stop = min(int(ends[-1]), start + _KERNEL_BLOCK)
+        req, seeds = [], []
+        r = int(np.searchsorted(ends, start, side="right"))
+        # the runs of request r are rows ends[r] - n_r .. ends[r] - 1
+        while r < len(requests) and int(ends[r]) - requests[r].n < stop:
+            begin = int(ends[r]) - requests[r].n
+            lo, hi = max(start, begin) - begin, min(stop, int(ends[r])) - begin
+            req.append(np.full(hi - lo, r, dtype=np.intp))
+            seeds.append(mix_seeds(requests[r].master_seed, lo, hi))
+            r += 1
+        req = np.concatenate(req)
+        yield start, req, stack.take(req), np.concatenate(seeds)
+
+
+class _Tally:
+    """The (joint, n_inconclusive) of each request of a sweep, over the
+    blocks added so far: ``add`` counts a block's outcome cells, (arms,
+    runs), with ``req`` holding each run's request index."""
+
+    def __init__(self, requests):
+        self.shape = (len(OUTCOME_CELLS),) * len(requests[0].arms)
+        self.width = math.prod(self.shape) + 1  # per request: inconclusive, then each joint cell
+        self.counts = np.zeros(len(requests) * self.width, dtype=np.int64)
+
+    def add(self, req: np.ndarray, cells: np.ndarray) -> None:
+        flat = np.ravel_multi_index(tuple(np.maximum(cells, 0)), self.shape)
         column = np.where(cells[0] >= 0, flat + 1, 0)
-        tally += np.bincount(req * width + column, minlength=tally.size)
-    return [(row[1:].reshape(shape), int(row[0])) for row in tally.reshape(-1, width)]
+        self.counts += np.bincount(req * self.width + column, minlength=self.counts.size)
 
-
-def _block_rows(requests, ends: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Request index and seed of rows start..stop-1 of a sweep, where the
-    runs of request r are rows ends[r] - n_r .. ends[r] - 1."""
-    req, seeds = [], []
-    r = int(np.searchsorted(ends, start, side="right"))
-    while r < len(requests) and int(ends[r]) - requests[r].n < stop:
-        begin = int(ends[r]) - requests[r].n
-        lo, hi = max(start, begin) - begin, min(stop, int(ends[r])) - begin
-        req.append(np.full(hi - lo, r, dtype=np.intp))
-        seeds.append(mix_seeds(requests[r].master_seed, lo, hi))
-        r += 1
-    return np.concatenate(req), np.concatenate(seeds)
+    def results(self) -> list[tuple[np.ndarray, int]]:
+        return [(row[1:].reshape(self.shape), int(row[0]))
+                for row in self.counts.reshape(-1, self.width)]
 
 
 # --- ensemble kernel ---------------------------------------------------------
@@ -565,11 +577,11 @@ def _block_rows(requests, ends: np.ndarray, start: int, stop: int) -> tuple[np.n
 #
 # A block's rows may belong to different requests: each row carries its
 # own seed, settings and processing rapidity (a _Stack taken per row).
-# _Patterns is the stage both paths share: the flash counts, the sorted
-# times, the positions and a frame's time order.  The outcome path
-# (_kernel_block) stops the collapse once both regions have drawn their
-# first channel, since later draws cannot change the outcome; the flash
-# path (_flash_block) collapses every flash.  The collapse uses the same
+# _Patterns holds the flash patterns, and _decide is the one decision
+# stage over them.  For outcome counts (_kernel_block) it stops a run's
+# collapse once both regions have drawn their first channel, since later
+# draws cannot change the outcome; for flashes (_flash_block, a layout of
+# its decisions) it collapses every flash.  The collapse uses the same
 # real operations in the same order as the scalar complex arithmetic, so
 # every probability compared against a uniform is the same double.
 
@@ -601,7 +613,9 @@ class _Patterns:
     """The flash patterns of a block of runs, one row per run.
 
     ``u`` holds the uniforms drawn so far, ``n_a`` and ``n_b`` the flash
-    counts and ``base`` the column of the first channel draw.
+    counts and ``base`` the column of the first channel draw.  A run's
+    flashes have ``shape[1]`` columns: A 0..nA-1, padding, then from
+    column ``width_a`` B 0..nB-1, padding.
     """
 
     def __init__(self, params: ModelParams, seeds: np.ndarray):
@@ -618,6 +632,8 @@ class _Patterns:
         )
         self.conclusive = (self.n_a > 0) & (self.n_b > 0)
         self.base = 2 + 2 * (self.n_a + self.n_b)
+        self.width_a = int(self.n_a.max())
+        self.shape = (seeds.size, self.width_a + int(self.n_b.max()))
 
     def draw_to(self, width: int) -> np.ndarray:
         """u, first extended to at least ``width`` uniforms per run."""
@@ -630,14 +646,13 @@ class _Patterns:
         return self.u
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, x): lab coordinates of each run's flashes in columns A
-        0..nA-1, padding, B 0..nB-1, padding (from column ``width_a``).
-        Times are sorted within a region, so the column is the index, and
-        are inf on padding, so padding sorts last in every frame."""
+        """(t, x): lab coordinates of each run's flashes, in its flash
+        columns.  Times are sorted within a region, so the column is the
+        index, and are inf on padding, so padding sorts last in every
+        frame."""
         ra, rb = self.params.regions
-        self.width_a = int(self.n_a.max())
-        shape = (self.u.shape[0], self.width_a + int(self.n_b.max()))
-        t, x = np.empty(shape), np.empty(shape)
+        self.draw_to(int(self.base.max()))
+        t, x = np.empty(self.shape), np.empty(self.shape)
         for region, count, offset, part in (
             (ra, self.n_a, np.ones_like(self.n_a), slice(0, self.width_a)),
             (rb, self.n_b, 2 + 2 * self.n_a, slice(self.width_a, None)),
@@ -750,31 +765,44 @@ def _kernel_block(model: ModelId, rows: _Stack, params: ModelParams, seeds) -> n
     """Outcome cell of each run under each arm, shape (arms, runs), as an
     index into OUTCOME_CELLS; -1 marks an inconclusive run.  ``rows``
     holds each run's settings and rapidity."""
-    cells = np.full((rows.angle.shape[0], seeds.size), -1, dtype=np.intp)
-    block = _Patterns(params, seeds)
+    return _decide(_Patterns(params, seeds), model, rows)[0]
+
+
+def _decide(block: _Patterns, model: ModelId, rows: _Stack, coordinates=None):
+    """The decision stage of both paths.  Returns _kernel_block's cells
+    and, if the flash path passes the block's ``coordinates()``, the
+    channel (True for +1) in each flash column under the block's one arm;
+    else None, and each run's collapse stops at its first channels."""
+    every_flash = coordinates is not None
     conclusive = block.conclusive
-    if not conclusive.any():
-        return cells
+    runs = np.flatnonzero(conclusive)
+    cells = np.full((rows.angle.shape[0], conclusive.size), -1, dtype=np.intp)
+    plus = np.zeros(block.shape, dtype=bool) if every_flash else None
+    if runs.size == 0:
+        return cells, plus
 
     if _MODELS[model].local_channels:
-        lam, mech = block.hidden_variables()
-        lam, mech = lam[conclusive], mech[conclusive]
-        for arm, (theta_a, theta_b) in enumerate(rows.angle[..., conclusive]):
+        lam, mech = (values[runs] for values in block.hidden_variables())
+        for arm, (theta_a, theta_b) in enumerate(rows.angle[..., runs]):
             plus_a = _lhv_plus(theta_a, lam, mech)
             plus_b = ~_lhv_plus(theta_b, lam, mech)  # side B outputs the negation
-            cells[arm, conclusive] = _cell(plus_a, plus_b)
-        return cells
+            cells[arm, runs] = _cell(plus_a, plus_b)
+        if every_flash:  # each flash has its region's channel
+            plus[runs, : block.width_a] = plus_a[:, None]
+            plus[runs, block.width_a :] = plus_b[:, None]
+        return cells, plus
 
-    block.draw_to(int(block.base[conclusive].max()))
-    in_a, first_a, first_b = block.processing_order(
-        _frame_times(*block.coordinates(), rows.cosh[:, None], rows.sinh[:, None])
-    )[1:]
-    steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
-    runs = np.flatnonzero(conclusive)
+    order, in_a, first_a, first_b = block.processing_order(
+        _frame_times(*(coordinates or block.coordinates()), rows.cosh[:, None], rows.sinh[:, None])
+    )
+    steps = block.n_a + block.n_b if every_flash else np.maximum(first_a, first_b) + 1
+    steps = np.where(conclusive, steps, 0)
     first_a, first_b = first_a[runs], first_b[runs]
-    for arm, plus in enumerate(block.decisions(zip(rows.cos, rows.sin), in_a, steps)):
-        cells[arm, runs] = _cell(plus[runs, first_a], plus[runs, first_b])
-    return cells
+    for arm, decided in enumerate(block.decisions(zip(rows.cos, rows.sin), in_a, steps)):
+        cells[arm, runs] = _cell(decided[runs, first_a], decided[runs, first_b])
+    if every_flash:
+        np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
+    return cells, plus
 
 
 def _cell(plus_a: np.ndarray, plus_b: np.ndarray) -> np.ndarray:
@@ -802,36 +830,12 @@ class FlashBlock(NamedTuple):
 def _flash_block(
     model: ModelId, rows: _Stack, frame: Frame, params: ModelParams, seeds, first_id: int
 ) -> FlashBlock:
-    """Every flash of each run, with its channel, and each run's outcome;
-    ``rows`` holds each run's one settings pair and processing rapidity."""
+    """Every flash of each run, with its channel, and each run's outcome,
+    laid out from the decision stage; ``rows`` has one settings arm."""
     block = _Patterns(params, seeds)
-    conclusive = block.conclusive
-    steps = np.where(conclusive, block.n_a + block.n_b, 0)
-    cells = np.full(seeds.size, -1, dtype=np.intp)
-    if not conclusive.any():
-        empty = np.empty(0)
-        return FlashBlock(*(empty,) * 7, cells)
-
-    if _MODELS[model].local_channels:
-        lam, mech = block.hidden_variables()
-        theta_a, theta_b = rows.angle[0]
-        plus_a = _lhv_plus(theta_a, lam, mech)
-        plus_b = ~_lhv_plus(theta_b, lam, mech)  # side B outputs the negation
-        t, x = block.coordinates()
-        plus = np.where(np.arange(t.shape[1]) < block.width_a, plus_a[:, None], plus_b[:, None])
-        cells[conclusive] = _cell(plus_a, plus_b)[conclusive]
-    else:
-        block.draw_to(int((block.base + steps).max()))
-        t, x = block.coordinates()
-        order, in_a, first_a, first_b = block.processing_order(
-            _frame_times(t, x, rows.cosh[:, None], rows.sinh[:, None])
-        )
-        (decided,) = block.decisions(zip(rows.cos, rows.sin), in_a, steps)
-        plus = np.zeros(t.shape, dtype=bool)
-        np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
-        runs = np.flatnonzero(conclusive)
-        cells[runs] = _cell(decided[runs, first_a[runs]], decided[runs, first_b[runs]])
-
+    steps = np.where(block.conclusive, block.n_a + block.n_b, 0)
+    t, x = coordinates = block.coordinates()
+    (cells,), plus = _decide(block, model, rows, coordinates)
     t_frame = _frame_times(t, x, math.cosh(frame.rapidity), math.sinh(frame.rapidity))
     report = _time_order(t_frame)
     run = np.repeat(np.arange(seeds.size), steps)
@@ -880,18 +884,13 @@ class FlashEnsemble:
         self.inconclusive = 0
 
     def __iter__(self):
-        self.counts = dict.fromkeys(OUTCOME_CELLS, 0)
-        self.inconclusive = 0
-        request = EnsembleRequest((self.pair,), self.frame, self.n, self.master_seed)
-        stack = _stack(self.model, [request])
-        for start in range(0, self.n, _KERNEL_BLOCK):
-            seeds = mix_seeds(self.master_seed, start, min(self.n, start + _KERNEL_BLOCK))
-            rows = stack.take(np.zeros(seeds.size, dtype=np.intp))
+        requests = [EnsembleRequest((self.pair,), self.frame, self.n, self.master_seed)]
+        tally = _Tally(requests)
+        for start, req, rows, seeds in _blocks(self.model, requests):
             block = _flash_block(self.model, rows, self.frame, self.params, seeds, start)
-            inconclusive, *tally = np.bincount(block.cells + 1, minlength=5).tolist()
-            self.inconclusive += inconclusive
-            for cell, k in zip(OUTCOME_CELLS, tally):
-                self.counts[cell] += k
+            tally.add(req, block.cells[None])
+            ((joint, self.inconclusive),) = tally.results()
+            self.counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
             yield block
 
 

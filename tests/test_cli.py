@@ -113,6 +113,18 @@ def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
 
 
+@pytest.mark.parametrize("csv", [(), ("--csv",)], ids=["plain", "csv"])
+def test_run_with_no_conclusive_run_writes_nothing(tmp_path, capsys, csv):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nflash_rate = 1e-10\nn = 5\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), *csv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: all runs were inconclusive\n"
+    assert captured.out == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, entry, message",
     [
@@ -123,6 +135,7 @@ def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):
         ("classify", "n_eff = -3", "n_eff must be >= 1, got -3"),
         ("certify", "k_max = two", "k_max must be an integer"),
         ("certify", "k_max = -1", "k_max must be >= 0, got -1"),
+        ("certify", "k_max = 3", "k_max must be <= 2, got 3"),
         ("certify", "witness_samples = 0", "witness_samples must be >= 1, got 0"),
         ("certify", "theta = 0", "theta must lie in (0, pi/2), got 0.0"),
         ("certify", "theta = nan", "theta must lie in (0, pi/2), got nan"),

@@ -38,9 +38,13 @@ def test_enumeration_counts():
 
 def test_enumeration_guard():
     with pytest.raises(ValueError, match="guard"):
-        enumerate_strategies(2, 2, 4)  # 2^16 per side, 2^32 total
+        enumerate_strategies(2, 2, 4)  # 2^32 per side, 2^64 total
     with pytest.raises(ValueError, match="guard"):
         enumerate_strategies(11, 11, 1)
+    # 2^22528 strategies: the guard compares exponents, so no count that
+    # large is built or printed
+    with pytest.raises(ValueError, match=r"guard: would require 2\^22528 strategies"):
+        enumerate_strategies(11, 11, 10)
 
 
 def test_all_plus_strategy_chsh_two():

@@ -37,6 +37,7 @@ from flashlab.models import (
     run_local_hv,
     run_preferred_frame,
     run_rgrwf,
+    write_flash_csv,
 )
 from flashlab.quantum import PureState, SettingPair
 from flashlab.randomness import PCG64Streams, mix_seed, mix_seeds
@@ -210,7 +211,7 @@ def test_batch_matches_separate_calls(model, epsilon):
 
 
 @st.composite
-def model_params(draw):
+def model_params(draw, rates=st.floats(0.05, 12.0)):
     t_min = draw(st.floats(-2.0, 2.0))
     span_a = draw(st.floats(0.1, 2.0))
     span_b = draw(st.floats(0.1, 2.0))
@@ -227,7 +228,7 @@ def model_params(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     return ModelParams(
         state=random_state(np.random.default_rng(seed)),
-        flash_rate=draw(st.floats(0.05, 12.0)),
+        flash_rate=draw(rates),
         epsilon=draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.1))])),
         regions=regions,
     )
@@ -244,6 +245,55 @@ def model_params(draw):
 def test_kernel_matches_scalar_property(model, params, chi, angles, master_seed):
     a, b1, b2 = angles
     assert_run_for_run(model, [(a, b1), (a, b2)], Frame(chi), params, 60, master_seed)
+
+
+# --- flashes -----------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(list(ModelId)),
+    # rates down to 1e-3 give blocks with no conclusive run and with no flash
+    params=model_params(rates=st.floats(1e-3, 12.0)),
+    chi=st.floats(-3.0, 3.0),
+    angles=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+def test_flash_blocks_match_scalar_property(model, params, chi, angles, master_seed):
+    n, frame = 40, Frame(chi)
+    flashes = FlashEnsemble(model, angles, frame, params, n, master_seed)
+    blocks = list(flashes)
+    got = [row for block in blocks for row in zip(*(field.tolist() for field in block[:7]))]
+    want, cells = [], []
+    for i in range(n):
+        try:
+            run = RUNNERS[model](SettingPair(*angles), frame, mix_seed(master_seed, i), params,
+                                 record_trace=False)
+        except InconclusiveRunError:
+            cells.append(-1)
+            continue
+        cells.append(OUTCOME_CELLS.index((run.outcome.alpha, run.outcome.beta)))
+        want += [(i, f.region, f.index, f.event.t, f.event.x,
+                  boost_time(f.event.t, f.event.x, chi), f.channel) for f in run.flashes]
+    assert got == want
+    assert np.concatenate([block.cells for block in blocks]).tolist() == cells
+    assert flashes.inconclusive == cells.count(-1)
+    assert flashes.counts == {cell: cells.count(k) for k, cell in enumerate(OUTCOME_CELLS)}
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_block_with_no_conclusive_run_keeps_its_dtypes(tmp_path, model):
+    def first_block(rate):
+        params = ModelParams(flash_rate=rate)
+        return next(iter(FlashEnsemble(model, (0.0, 1.0), Frame(0.0), params, n=10)))
+
+    empty, full = first_block(1e-6), first_block(5.0)
+    assert (empty.cells == -1).all() and empty.run_id.size == 0
+    assert (full.cells >= 0).any() and full.run_id.size > 0
+    assert [field.dtype for field in empty] == [field.dtype for field in full]
+    path = tmp_path / "flashes.csv"
+    assert write_flash_csv(path, [empty]) == 0
+    assert path.read_bytes() == b"run_id,region,t_lab,x_lab,t_frame,channel,index\r\n"
 
 
 # --- flash CSV ---------------------------------------------------------------
