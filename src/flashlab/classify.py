@@ -27,8 +27,10 @@ from typing import Callable, NamedTuple
 
 from .minkowski import Frame, order_flip_rapidity, region_frame_order
 from .models import (
+    _DEFAULT_PARAMS,
     OUTCOME_CELLS,
     EnsembleRequest,
+    ModelId,
     ModelParams,
     OutcomeDistribution,
     _coerce_pair,
@@ -166,26 +168,22 @@ def _run(model, params: ModelParams, plan: _Plan) -> TestResult:
     return plan.verdict(ensembles(model, plan.requests, params))
 
 
-def _distribution(request: EnsembleRequest, counts) -> OutcomeDistribution:
-    joint, inconclusive = counts
-    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, joint.tolist())), request.n, inconclusive)
-
-
 def collect_samples(
     model, params: ModelParams, settings, frame: Frame, n: int, master_seed: int
 ) -> OutcomeDistribution:
     """Run the model n times with counter-derived seeds; unlike
     outcome_distribution, all n runs may be inconclusive."""
-    request = EnsembleRequest((settings,), frame, n, master_seed)
-    (counts,) = ensembles(model, [request], params)
-    return _distribution(request, counts)
+    ((joint, inconclusive),) = ensembles(
+        model, [EnsembleRequest((settings,), frame, n, master_seed)], params
+    )
+    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, joint.tolist())), n, inconclusive)
 
 
-def _cell_requests(pairs, n: int, master_seed: int, frame: Frame = Frame(0.0)) -> list:
-    """One one-arm request per settings pair, pair i seeded with
+def _cell_requests(pairs, n: int, master_seed: int) -> list:
+    """One one-arm lab-frame request per settings pair, pair i seeded with
     mix_seed(master_seed, i)."""
     return [
-        EnsembleRequest((pair,), frame, n, mix_seed(master_seed, i))
+        EnsembleRequest((pair,), Frame(0.0), n, mix_seed(master_seed, i))
         for i, pair in enumerate(pairs)
     ]
 
@@ -205,19 +203,17 @@ def _qf_plan(params: ModelParams, settings_grid, n: int, master_seed: int) -> _P
     requests = _cell_requests(grid, n, master_seed)
 
     def decide(counts) -> TestResult:
-        sets = [_distribution(r, c) for r, c in zip(requests, counts)]
         p_values = []
-        for pair, sample in zip(grid, sets):
+        for pair, (joint, _) in zip(grid, counts):
             expected = born_joint(params.state, pair)
-            observed = [sample.counts[c] for c in OUTCOME_CELLS]
-            p_values.append(chi2_gof(observed, [expected[c] for c in OUTCOME_CELLS]).p_value)
+            p_values.append(chi2_gof(joint.tolist(), [expected[c] for c in OUTCOME_CELLS]).p_value)
         p_adj = bonferroni(p_values)
         return TestResult(
             "qf_agreement",
             statistic=p_adj,
             threshold=_ALPHA,
             p_bound=p_adj,
-            verdict=_gated(p_adj >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
+            verdict=_gated(p_adj >= _ALPHA, sum(d for _, d in counts), n * len(counts)),
             details={"cells": len(grid), "p_values": p_values},
         )
 
@@ -237,14 +233,14 @@ def _no_signalling_plan(n: int, master_seed: int) -> _Plan:
     a, a_p, b, b_p = CHSH_ANGLES
     requests = _cell_requests([(a, b), (a, b_p), (a_p, b)], n, master_seed)
 
-    def marginal(sample, side):
-        """Counts of +1 and of -1 on one side."""
-        k = 0 if side == "A" else 1
-        return [sum(c for cell, c in sample.counts.items() if cell[k] == s) for s in (1, -1)]
+    def marginal(counts, side):
+        """Counts of +1 and of -1 on one side: the rows (side A) or the
+        columns (side B) of the joint table, summed."""
+        joint, _ = counts
+        return joint.reshape(2, 2).sum(axis=1 if side == "A" else 0).tolist()
 
     def decide(counts) -> TestResult:
-        sets = [_distribution(r, c) for r, c in zip(requests, counts)]
-        ab, ab_p, a_p_b = sets
+        ab, ab_p, a_p_b = counts
         comparisons = {
             "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
             "beta_across_a": chi2_homogeneity(marginal(ab, "B"), marginal(a_p_b, "B")),
@@ -255,7 +251,7 @@ def _no_signalling_plan(n: int, master_seed: int) -> _Plan:
             statistic=p_min,
             threshold=_ALPHA,
             p_bound=p_min,
-            verdict=_gated(p_min >= _ALPHA, sum(s.n_inconclusive for s in sets), n * len(sets)),
+            verdict=_gated(p_min >= _ALPHA, sum(d for _, d in counts), n * len(counts)),
             details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
         )
 
@@ -272,44 +268,23 @@ def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> 
     return _run(model, params, _no_signalling_plan(n, master_seed))
 
 
-def _chsh_requests(angles: tuple, n: int, master_seed: int, frame: Frame) -> list:
-    a, a_p, b, b_p = angles
-    return _cell_requests([(a, b), (a, b_p), (a_p, b), (a_p, b_p)], n, master_seed, frame)
-
-
-def _chsh_value(requests, counts) -> tuple[float, float]:
-    """(S_hat, standard error) from the counts of the four CHSH cells."""
-    s_hat = 0.0
-    var = 0.0
-    for sign, request, cell in zip((+1, -1, +1, +1), requests, counts):
-        sample = _distribution(request, cell)
-        m = sample.n_conclusive
-        if m == 0:
-            raise RuntimeError("no conclusive runs for CHSH estimation")
-        e = sample.correlator()
-        s_hat += sign * e
-        var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
-    return s_hat, math.sqrt(var)
-
-
-def chsh_estimate(
-    model,
-    params: ModelParams,
-    angles: tuple,
-    n: int,
-    master_seed: int,
-    frame: Frame = Frame(0.0),
-) -> tuple[float, float]:
-    """(S_hat, standard error) of E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    requests = _chsh_requests(angles, n, master_seed, frame)
-    return _chsh_value(requests, ensembles(model, requests, params))
-
-
 def _locality_plan(n: int, master_seed: int) -> _Plan:
-    requests = _chsh_requests(CHSH_ANGLES, n, master_seed, Frame(0.0))
+    a, a_p, b, b_p = CHSH_ANGLES
+    requests = _cell_requests([(a, b), (a, b_p), (a_p, b), (a_p, b_p)], n, master_seed)
 
     def decide(counts) -> TestResult:
-        s_hat, se = _chsh_value(requests, counts)
+        # S_hat = E(a,b) - E(a,b') + E(a',b) + E(a',b'), with its standard error
+        s_hat = 0.0
+        var = 0.0
+        for sign, (joint, dropped) in zip((+1, -1, +1, +1), counts):
+            m = n - dropped
+            if m == 0:
+                raise RuntimeError("no conclusive runs for CHSH estimation")
+            pp, pm, mp, mm = joint.tolist()
+            e = (pp - pm - mp + mm) / m
+            s_hat += sign * e
+            var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
+        se = math.sqrt(var)
         stat = abs(s_hat)
         if stat > 2.0 + 5.0 * se:
             verdict = FAIL
@@ -480,7 +455,8 @@ def classify(
     one sweep over the one-arm cells and one over the flip probes; each
     verdict is the one its test_* function gives on its own.
     """
-    params = params if params is not None else ModelParams()
+    model = ModelId(model)
+    params = params if params is not None else _DEFAULT_PARAMS
     config = config if config is not None else ClassifyConfig()
     frames = config.frames_probe
     if frames is None:
@@ -510,9 +486,8 @@ def classify(
         "effective_locality": config.n_eff,
         "effective_causality": config.n_eff,
     }
-    name = getattr(model, "value", None) or str(model)
     return ClassificationReport(
-        model=name,
+        model=model.value,
         results=results,
         sample_sizes=sample_sizes,
         seeds=seeds,

@@ -27,6 +27,8 @@ from .determinism import (
 )
 from .minkowski import Frame, Region
 from .models import (
+    DEFAULT_REGION_A,
+    DEFAULT_REGION_B,
     OUTCOME_CELLS,
     FlashEnsemble,
     ModelId,
@@ -34,7 +36,7 @@ from .models import (
     ensemble,
     write_flash_csv,
 )
-from .quantum import CHSH_ANGLES, PureState, SettingPair, born_joint, chsh_value, singlet
+from .quantum import CHSH_ANGLES, PureState, Setting, SettingPair, born_joint, chsh_value, singlet
 
 import numpy as np
 
@@ -116,9 +118,11 @@ class RunConfig:
         self.entries = parse_config_file(args.config) if args.config else {}
         self.model = self._resolve_model(args)
         self.state = self._resolve_state()
-        self.a = self._value(args.a, "experiment", "a", 0.0, float, "a number")
-        self.b = self._value(args.b, "experiment", "b", 0.0, float, "a number")
-        self.frame = Frame(self._value(args.frame, "experiment", "frame", 0.0, float, "a number"))
+        self.a = self._value(args.a, "experiment", "a", 0.0, float, "a number", Setting)
+        self.b = self._value(args.b, "experiment", "b", 0.0, float, "a number", Setting)
+        self.frame = Frame(
+            self._value(args.frame, "experiment", "frame", 0.0, float, "a number", Frame)
+        )
         self.n = self._count(args.n, "experiment", "n", 10_000, 1)
         self.master_seed = self._resolve_seed(args)
         self.flash_rate = self._value(None, "experiment", "flash_rate", 5.0, float, "a number")
@@ -126,8 +130,8 @@ class RunConfig:
         self.out_dir = Path(args.out or self._raw("output", "out_dir", "results"))
         self.csv = bool(args.csv) or self._value(None, "output", "csv", False, _bool, "a boolean")
         regions = (
-            self._resolve_region("a_box", ModelParams().regions[0]),
-            self._resolve_region("b_box", ModelParams().regions[1]),
+            self._resolve_region("a_box", DEFAULT_REGION_A),
+            self._resolve_region("b_box", DEFAULT_REGION_B),
         )
         try:
             self.params = ModelParams(
@@ -149,19 +153,30 @@ class RunConfig:
         lineno = self.entries[(section, key)][1]
         return f"{self.path}:{lineno}"
 
-    def _value(self, flag, section, key, default, parse, what):
+    def _origin(self, flag, section, key) -> str:
+        """Where a value came from: its flag, else its file and line."""
+        return f"--{key}" if flag is not None else self._anchor(section, key)
+
+    def _value(self, flag, section, key, default, parse, what, check=None):
         """The flag value if one was given, else the config value converted
         by ``parse``, else ``default``.  A config value that ``parse``
-        rejects with ValueError is a ConfigError at its file and line."""
-        if flag is not None:
-            return flag
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._anchor(section, key)}: {key} must be {what}") from exc
+        rejects with ValueError is a ConfigError at its file and line, and
+        a given value that ``check`` rejects is one at its flag or line."""
+        value = flag
+        if flag is None:
+            raw = self._raw(section, key)
+            if raw is None:
+                return default
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{self._anchor(section, key)}: {key} must be {what}") from exc
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ConfigError(f"{self._origin(flag, section, key)}: {exc}") from exc
+        return value
 
     def _count(self, flag, section, key, default, minimum, maximum=math.inf):
         """An integer ``_value`` that must lie in [minimum, maximum]."""
@@ -169,8 +184,7 @@ class RunConfig:
         if value is None or minimum <= value <= maximum:
             return value
         bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
-        anchor = f"--{key}" if flag is not None else self._anchor(section, key)
-        raise ConfigError(f"{anchor}: {key} must be {bound}, got {value}")
+        raise ConfigError(f"{self._origin(flag, section, key)}: {key} must be {bound}, got {value}")
 
     def _resolve_seed(self, args) -> int:
         seed = self._value(args.seed, "experiment", "master_seed", None, int, "an integer")
@@ -236,7 +250,8 @@ class RunConfig:
             if value is not None:
                 kwargs[key] = value
         numbers = "one or more numbers"
-        frames = self._value(None, "classify", "frames_probe", None, _floats, numbers)
+        frames = self._value(None, "classify", "frames_probe", None, _floats, numbers,
+                             lambda chis: [Frame(chi) for chi in chis])
         if frames is not None:
             kwargs["frames_probe"] = tuple(Frame(chi) for chi in frames)
         a_grid = self._value(None, "classify", "a_grid", None, _floats, numbers)
@@ -271,9 +286,11 @@ class RunConfig:
 @contextlib.contextmanager
 def _atomic_output(path: Path):
     """Yield a temporary path beside ``path``, creating the directory; on
-    success move the file written there onto ``path``, else delete it.
-    The file gets the mode open() would give a new file under the
-    current umask, not mkstemp's 0600."""
+    success move the file written there onto ``path``, else delete it and
+    the directories made for it, as long as they are empty.  The file gets
+    the mode open() would give a new file under the current umask, not
+    mkstemp's 0600."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
@@ -286,6 +303,11 @@ def _atomic_output(path: Path):
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # no longer empty, so neither are its parents
+                break
         raise
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .minkowski import Event, Frame, Region, regions_spacelike
 from .quantum import BASIS, Outcome, PureState, SettingPair, singlet
-from .randomness import GeneratorSource, PCG64Streams, mix_seed, mix_seeds
+from .randomness import GeneratorSource, PCG64Streams, mix_seeds
 
 DEFAULT_FLASH_RATE = 5.0
 DEFAULT_REGION_A = Region("A", 0.0, 1.0, -11.0, -10.0)
@@ -113,6 +113,10 @@ class ModelParams:
                     f"flash_rate x time span of region {region.label} is {mean:g}; "
                     f"the Poisson sampler needs at most {MAX_FLASH_MEAN:g}"
                 )
+
+
+# The parameters a call without ``params`` runs under, built and checked once.
+_DEFAULT_PARAMS = ModelParams()
 
 
 @dataclass(frozen=True)
@@ -350,7 +354,7 @@ def _run_model(model: ModelId, settings, frame, seed, params, record_trace) -> E
     return _simulate_run(
         GeneratorSource(seed),
         _coerce_pair(settings),
-        params if params is not None else ModelParams(),
+        params if params is not None else _DEFAULT_PARAMS,
         frame.rapidity if spec.frame_ordered else 0.0,
         frame,
         seed,
@@ -482,19 +486,17 @@ def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[
     the same number of arms are stacked, one row per run, and swept in
     blocks of rows so that memory does not grow with n; every row carries
     its own seed, settings and processing rapidity, so a request's counts
-    do not depend on the requests beside it.  A custom runner callable is
-    called run by run, request by request.
+    do not depend on the requests beside it.  ``model`` is a ModelId or
+    its value.
     """
-    params = params if params is not None else ModelParams()
+    model = ModelId(model)
+    params = params if params is not None else _DEFAULT_PARAMS
     requests = [
         EnsembleRequest(tuple(_coerce_pair(s) for s in r.arms), r.frame, r.n, r.master_seed)
         for r in requests
     ]
     if any(r.n < 0 for r in requests):
         raise ValueError("n must be >= 0")
-    if callable(model) and not isinstance(model, ModelId):
-        return [_scalar_ensemble(model, r, params) for r in requests]
-    model = ModelId(model)
     results = [None] * len(requests)
     for arms in dict.fromkeys(len(r.arms) for r in requests):
         index = [i for i, r in enumerate(requests) if len(r.arms) == arms]
@@ -505,21 +507,6 @@ def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[
         for i, result in zip(index, tally.results()):
             results[i] = result
     return results
-
-
-def _scalar_ensemble(runner, request: EnsembleRequest, params) -> tuple[np.ndarray, int]:
-    """One request through a runner callable, run by run; a run is dropped
-    at its first inconclusive arm."""
-    joint = np.zeros((len(OUTCOME_CELLS),) * len(request.arms), dtype=np.int64)
-    for i in range(request.n):
-        seed = mix_seed(request.master_seed, i)
-        try:
-            runs = [runner(pair, request.frame, seed, params, record_trace=False)
-                    for pair in request.arms]
-        except InconclusiveRunError:
-            continue
-        joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
-    return joint, request.n - int(joint.sum())
 
 
 def _blocks(model: ModelId, requests):
@@ -877,7 +864,7 @@ class FlashEnsemble:
         self.model = ModelId(model)
         self.pair = _coerce_pair(settings)
         self.frame = frame
-        self.params = params if params is not None else ModelParams()
+        self.params = params if params is not None else _DEFAULT_PARAMS
         self.n = n
         self.master_seed = master_seed
         self.counts = dict.fromkeys(OUTCOME_CELLS, 0)

@@ -125,9 +125,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def amplitude(self, s_a: int, s_b: int) -> complex:
-        return complex(self.amplitudes[BASIS.index((s_a, s_b))])
-
     def as_matrix(self) -> np.ndarray:
         """2x2 amplitude matrix, row = A spin (+1 first), column = B spin."""
         return self.amplitudes.reshape(2, 2)

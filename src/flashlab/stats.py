@@ -14,9 +14,6 @@ class ChiSquareResult:
     df: int
     p_value: float
 
-    def rejects(self, alpha: float) -> bool:
-        return self.p_value < alpha
-
 
 def chi2_gof(observed, expected_probs) -> ChiSquareResult:
     """Goodness of fit of observed counts against fully specified cell

@@ -4,11 +4,17 @@ shape, and estimator behavior."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from flashlab.classify import (
     ClassifyConfig,
-    chsh_estimate,
+    _effective_causality_verdict,
+    _effective_locality_verdict,
+    _flip_plan,
+    _locality_plan,
+    _no_signalling_plan,
+    _qf_plan,
     classify,
     collect_samples,
     default_frames_probe,
@@ -25,6 +31,8 @@ from flashlab.models import (
     InconclusiveRunError,
     ModelId,
     ModelParams,
+    _coerce_pair,
+    ensembles,
     run_local_hv,
     run_preferred_frame,
     run_rgrwf,
@@ -100,30 +108,63 @@ SCALAR_RUNNERS = {
 }
 
 
+def scalar_counts(runner, requests, params) -> list[tuple[np.ndarray, int]]:
+    """The (joint, n_inconclusive) that ensembles() gives each request,
+    tallied run by run through a scalar runner; a run is dropped at its
+    first inconclusive arm."""
+    results = []
+    for request in requests:
+        joint = np.zeros((len(OUTCOME_CELLS),) * len(request.arms), dtype=np.int64)
+        for i in range(request.n):
+            seed = mix_seed(request.master_seed, i)
+            try:
+                runs = [runner(_coerce_pair(pair), request.frame, seed, params, record_trace=False)
+                        for pair in request.arms]
+            except InconclusiveRunError:
+                continue
+            joint[tuple(OUTCOME_CELLS.index((r.outcome.alpha, r.outcome.beta)) for r in runs)] += 1
+        results.append((joint, request.n - int(joint.sum())))
+    return results
+
+
 @pytest.mark.parametrize("master_seed", [3, 11])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_classify_matches_tests_one_by_one(model, master_seed):
     # classify() runs the five tests' requests as two stacked sweeps; each
-    # result, details included, must be what the test gives on its own,
-    # run through the kernel and through the scalar runner run by run
+    # result, details included, must be what the test gives on its own, and
+    # the kernel's counts for each of the tests' requests must be the
+    # scalar runner's, run by run
     config = ClassifyConfig(master_seed=master_seed, n_qf=60, n_nosig=80, n_locality=100,
                             n_eff=40)
     params = ModelParams()
     report = classify(model, params, config)
     seeds = report.seeds
     frames = default_frames_probe(params)
-    for runner in (model, SCALAR_RUNNERS[model]):
-        alone = [
-            qf_test(runner, params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
-            no_signalling_test(runner, params, config.n_nosig, seeds["no_signalling"]),
-            locality_test(runner, params, config.n_locality, seeds["locality"]),
-            eff_locality_test(runner, params, frames, config.n_eff, seeds["effective_locality"]),
-            eff_causality_test(runner, params, frames, config.n_eff,
-                               seeds["effective_causality"]),
-        ]
-        for result in alone:
-            got = report.results[result.name]
-            assert (got, got.details) == (result, result.details), (runner, result.name)
+    alone = [
+        qf_test(model, params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
+        no_signalling_test(model, params, config.n_nosig, seeds["no_signalling"]),
+        locality_test(model, params, config.n_locality, seeds["locality"]),
+        eff_locality_test(model, params, frames, config.n_eff, seeds["effective_locality"]),
+        eff_causality_test(model, params, frames, config.n_eff, seeds["effective_causality"]),
+    ]
+    for result in alone:
+        got = report.results[result.name]
+        assert (got, got.details) == (result, result.details), result.name
+    plans = [
+        _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
+        _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
+        _locality_plan(config.n_locality, seeds["locality"]),
+        _flip_plan(params, frames, config.n_eff, seeds["effective_locality"], 0,
+                   _effective_locality_verdict),
+        _flip_plan(params, frames, config.n_eff, seeds["effective_causality"], 1000,
+                   _effective_causality_verdict),
+    ]
+    for plan in plans:
+        kernel = ensembles(model, plan.requests, params)
+        scalar = scalar_counts(SCALAR_RUNNERS[model], plan.requests, params)
+        for request, (joint, dropped), (want, want_dropped) in zip(plan.requests, kernel, scalar):
+            np.testing.assert_array_equal(joint, want, err_msg=str(request))
+            assert dropped == want_dropped, request
 
 
 def test_sample_and_probe_helpers_match_the_battery():
@@ -156,7 +197,8 @@ def _signalling_toy(settings, frame, seed, params=None, record_trace=True):
 
 def test_no_signalling_catches_toy_model():
     params = ModelParams()
-    result = no_signalling_test(_signalling_toy, params, n=800, master_seed=13)
+    plan = _no_signalling_plan(n=800, master_seed=13)
+    result = plan.verdict(scalar_counts(_signalling_toy, plan.requests, params))
     assert result.verdict == "fail"
     honest = no_signalling_test(ModelId.RGRWF, params, n=800, master_seed=13)
     assert honest.verdict == "pass"
@@ -202,11 +244,16 @@ def test_probe_without_conclusive_pairs_is_skipped():
     # let NaN through would return it; both statistics skip it instead.
     params = ModelParams()
     frames = (Frame(0.5), Frame(1.0), Frame(-0.5), Frame(-1.0))
-    loc = eff_locality_test(_blind_at_half, params, frames, n=60, master_seed=3)
+
+    def run_blind(first_index, verdict):
+        plan = _flip_plan(params, frames, 60, 3, first_index, verdict)
+        return plan.verdict(scalar_counts(_blind_at_half, plan.requests, params))
+
+    loc = run_blind(0, _effective_locality_verdict)
     assert math.isnan(loc.details["probes"][0]["fraction"])
     assert loc.details["directions"] == {"A->B": 13 / 58, "B->A": 13 / 60}
     assert (loc.statistic, loc.verdict) == (13 / 58, "inconclusive")
-    causal = eff_causality_test(_blind_at_half, params, frames, n=60, master_seed=3)
+    causal = run_blind(1000, _effective_causality_verdict)
     assert [(p["flips"], p["pairs"], p["dropped"]) for p in causal.details["probes"]] == [
         (0, 0, 60), (12, 59, 1), (8, 58, 2), (17, 60, 0)
     ]
@@ -236,11 +283,9 @@ def test_preferred_frame_flips_in_reversed_frames():
 def test_chsh_standard_error_scaling():
     # the standard error of the CHSH estimator scales as n^(-1/2)
     params = ModelParams()
-    angles = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
     ses = {}
     for n in (1_000, 10_000, 100_000):
-        _, se = chsh_estimate(ModelId.RGRWF, params, angles, n, master_seed=59)
-        ses[n] = se
+        ses[n] = locality_test(ModelId.RGRWF, params, n, master_seed=59).details["se"]
     for n_small, n_big in ((1_000, 10_000), (10_000, 100_000)):
         ratio = ses[n_small] / ses[n_big]
         expected = math.sqrt(n_big / n_small)

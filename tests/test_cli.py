@@ -122,7 +122,17 @@ def test_run_with_no_conclusive_run_writes_nothing(tmp_path, capsys, csv):
     captured = capsys.readouterr()
     assert captured.err == "error: all runs were inconclusive\n"
     assert captured.out == ""
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
+    # nested: every directory made for the output goes, and one that holds
+    # something else stays, with what it holds
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a" / "b"), *csv) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "keep.txt").write_text("x")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a" / "b" / "c"),
+                   *csv) == 1
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["keep.txt"]
+    assert capsys.readouterr().err == "error: all runs were inconclusive\n" * 2
 
 
 @pytest.mark.parametrize(
@@ -145,6 +155,8 @@ def test_run_with_no_conclusive_run_writes_nothing(tmp_path, capsys, csv):
         ("classify", "a_grid =", "a_grid must be one or more numbers"),
         ("classify", "b_grid = 0 x", "b_grid must be one or more numbers"),
         ("classify", "frames_probe =", "frames_probe must be one or more numbers"),
+        ("classify", "frames_probe = 0 25", "|rapidity| must be <= 20.0 (got 25.0)"),
+        ("classify", "frames_probe = nan", "|rapidity| must be <= 20.0 (got nan)"),
     ],
 )
 def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, command, entry,
@@ -156,6 +168,41 @@ def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, com
     assert captured.err == f"error: {cfg}:4: {message}\n"
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "certify"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("frame = 25", "|rapidity| must be <= 20.0 (got 25.0)"),
+        ("frame = -inf", "|rapidity| must be <= 20.0 (got -inf)"),
+        ("a = nan", "setting angle must be finite"),
+        ("b = inf", "setting angle must be finite"),
+        ("a = x", "a must be a number"),
+    ],
+)
+def test_bad_experiment_values_are_line_anchored(tmp_path, capsys, command, entry, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[experiment]\nn = 10\n{entry}\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:3: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (("--frame", "25"), "--frame: |rapidity| must be <= 20.0 (got 25.0)"),
+        (("--a", "nan"), "--a: setting angle must be finite"),
+        (("--b=-inf",), "--b: setting angle must be finite"),
+    ],
+)
+def test_bad_experiment_flags_name_the_flag(tmp_path, capsys, flag, message):
+    assert run_cli("run", *flag, "--n", "10", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashlab.classify import classify
 from flashlab.cli import main
 from flashlab.minkowski import Frame, Region, boost_time, order_flip_rapidity
 from flashlab.models import (
@@ -166,19 +167,15 @@ def test_ensemble_counts_across_blocks(model):
     assert inconclusive == int((~ok).sum()) > 0
 
 
-def test_ensemble_custom_runner_uses_scalar_loop():
-    calls = []
-
-    def runner(settings, frame, seed, params=None, record_trace=True):
-        calls.append(seed)
-        return run_rgrwf(settings, frame, seed, params, record_trace)
-
-    joint, inconclusive = ensemble(runner, [(0.0, 1.0)], Frame(0.0), None, 300, 4)
-    assert calls == [mix_seed(4, i) for i in range(300)]
-    kernel_joint, kernel_inconclusive = ensemble(ModelId.RGRWF, [(0.0, 1.0)], Frame(0.0), None,
-                                                 300, 4)
-    np.testing.assert_array_equal(joint, kernel_joint)
-    assert inconclusive == kernel_inconclusive
+def test_ensembles_and_classify_reject_a_runner_callable():
+    # a model is named by its ModelId (or its value); a scalar runner is
+    # not a model handle, even one of a built-in model
+    with pytest.raises(ValueError, match="is not a valid ModelId"):
+        ensembles(run_rgrwf, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 10, 4)])
+    with pytest.raises(ValueError, match="is not a valid ModelId"):
+        ensemble(run_rgrwf, [(0.0, 1.0)], Frame(0.0), None, 10, 4)
+    with pytest.raises(ValueError, match="is not a valid ModelId"):
+        classify(run_rgrwf)
 
 
 @pytest.mark.parametrize("model", list(ModelId))
