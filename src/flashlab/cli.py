@@ -493,6 +493,29 @@ def cmd_report(path: str) -> int:
     return 0
 
 
+# The flags of run, classify and certify that take a value.  argparse reads
+# a value that starts with "-" and is not a plain negative number, such as
+# "-1e-3" or "-inf", as a flag of its own, so main() first joins each of
+# these flags, or a prefix that names one of them alone, to the token after
+# it ("--frame=-1e-3").
+_VALUE_FLAGS = ("--config", "--model", "--n", "--seed", "--frame", "--a", "--b", "--out")
+
+
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """argv with each flag of _VALUE_FLAGS joined by "=" to the token after
+    it; tokens after "--" are left as they are."""
+    joined, rest = [], iter(argv)
+    for token in rest:
+        if token == "--":
+            return [*joined, token, *rest]
+        if token.startswith("--") and sum(f.startswith(token) for f in _VALUE_FLAGS) == 1:
+            value = next(rest, None)
+            if value is not None:
+                token = f"{token}={value}"
+        joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flashlab",
@@ -519,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_flag_values(argv))
     if args.command == "report":
         return cmd_report(args.path)
     try:

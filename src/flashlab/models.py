@@ -553,14 +553,20 @@ class _Tally:
 # --- ensemble kernel ---------------------------------------------------------
 #
 # The kernel replays _simulate_run for a block of seeds at once.  Each
-# run's uniforms come from PCG64Streams in the order _simulate_run draws
-# them:
+# run's uniforms come from its own PCG64Streams cursor, in the segments
+# _simulate_run draws them in:
 #
-#   0                 count of region A (nA)
-#   1 .. nA           A times, unsorted;  then nA A positions, in time order
-#   1 + 2nA           count of region B (nB);  then nB times, nB positions
-#   2 + 2(nA + nB)    channel draws in processing order (or lambda and the
-#                     mechanism for local_hv)
+#   count of region A (nA), then nA A times, unsorted, then nA A positions,
+#   in time order;  count of region B (nB), nB times, nB positions;  then
+#   the channel draws in processing order (or lambda and the mechanism for
+#   local_hv)
+#
+# A segment the run's outcome does not read is skipped: the cursor jumps
+# over it and the next segment gets the uniforms the scalar run gets.  For
+# outcome counts, positions are skipped wherever the processing frame's
+# sinh is 0, where a flash's frame time t * cosh - x * 0.0 does not depend
+# on x, and local_hv, whose channels read no flash, skips both patterns.
+# The flash path reads every segment.
 #
 # A block's rows may belong to different requests: each row carries its
 # own seed, settings and processing rapidity (a _Stack taken per row).
@@ -580,84 +586,51 @@ class _Tally:
 _KERNEL_BLOCK = 2048
 
 
-def _gather(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """u[row, columns[row, j]], with columns past the drawn width clipped
-    (those entries belong to runs that never reach them).  Clips
-    ``columns`` in place, so callers pass a fresh array."""
-    return np.take_along_axis(u, np.minimum(columns, u.shape[1] - 1, out=columns), axis=1)
-
-
-def _scaled(u: np.ndarray, columns: np.ndarray, low: float, high: float) -> np.ndarray:
-    """low + (high - low) * _gather(u, columns), computed in place on the
-    gathered copy with the same two operations."""
-    values = _gather(u, columns)
-    values *= high - low
-    values += low
-    return values
-
-
 class _Patterns:
-    """The flash patterns of a block of runs, one row per run.
+    """The flash patterns of a block of runs, one row per run, drawn from
+    the runs' seeds.
 
-    ``u`` holds the uniforms drawn so far, ``n_a`` and ``n_b`` the flash
-    counts and ``base`` the column of the first channel draw.  A run's
-    flashes have ``shape[1]`` columns: A 0..nA-1, padding, then from
-    column ``width_a`` B 0..nB-1, padding.
+    ``n_a`` and ``n_b`` hold the flash counts.  ``t`` and ``x`` hold the
+    lab coordinates of each run's flashes in ``shape[1]`` columns: A
+    0..nA-1, padding, then from column ``width_a`` B 0..nB-1, padding.
+    Times are sorted within a region, so the column is the index, and are
+    inf on padding, so padding sorts last in every frame.  Without
+    ``times`` both patterns are skipped and ``t`` and ``x`` are None; a
+    run whose ``positions`` entry is False skips its positions, and its
+    ``x`` holds the region's x_min.
     """
 
-    def __init__(self, params: ModelParams, seeds: np.ndarray):
+    def __init__(self, params: ModelParams, seeds: np.ndarray, times=True, positions=True):
         self.params = params
-        self._streams = PCG64Streams(seeds)
-        self.u = self._streams.random(1)
-        table_a, table_b = (
-            _poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min)) for r in params.regions
-        )
-        self.n_a = np.searchsorted(table_a, self.u[:, 0], side="right")
-        self.draw_to(2 + 2 * int(self.n_a.max()))
-        self.n_b = np.searchsorted(
-            table_b, self.u[np.arange(seeds.size), 1 + 2 * self.n_a], side="right"
-        )
+        self._streams = streams = PCG64Streams(seeds)
+        one = np.ones(seeds.size, dtype=np.intp)
+        counts, ts, xs = [], [], []
+        for region in params.regions:
+            table = _poisson_cdf_table(params.flash_rate * (region.t_max - region.t_min))
+            n = np.searchsorted(table, streams.draw(one)[:, 0], side="right")
+            counts.append(n)
+            if not times:
+                streams.skip(2 * n)
+                continue
+            t = _scaled(streams.draw(n), region.t_min, region.t_max)
+            t[np.arange(t.shape[1]) >= n[:, None]] = np.inf
+            t.sort(axis=1)
+            read = np.where(positions, n, 0)
+            streams.skip(n - read)
+            x = np.zeros_like(t)
+            drawn = streams.draw(read)
+            x[:, : drawn.shape[1]] = drawn
+            ts.append(t)
+            xs.append(_scaled(x, region.x_min, region.x_max))
+        self.n_a, self.n_b = counts
         self.conclusive = (self.n_a > 0) & (self.n_b > 0)
-        self.base = 2 + 2 * (self.n_a + self.n_b)
         self.width_a = int(self.n_a.max())
         self.shape = (seeds.size, self.width_a + int(self.n_b.max()))
-
-    def draw_to(self, width: int) -> np.ndarray:
-        """u, first extended to at least ``width`` uniforms per run."""
-        have = self.u.shape[1]
-        if width > have:
-            u = np.empty((self.u.shape[0], width))
-            u[:, :have] = self.u
-            self._streams.fill(u[:, have:])
-            self.u = u
-        return self.u
-
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, x): lab coordinates of each run's flashes, in its flash
-        columns.  Times are sorted within a region, so the column is the
-        index, and are inf on padding, so padding sorts last in every
-        frame."""
-        ra, rb = self.params.regions
-        self.draw_to(int(self.base.max()))
-        t, x = np.empty(self.shape), np.empty(self.shape)
-        for region, count, offset, part in (
-            (ra, self.n_a, np.ones_like(self.n_a), slice(0, self.width_a)),
-            (rb, self.n_b, 2 + 2 * self.n_a, slice(self.width_a, None)),
-        ):
-            cols = np.arange(int(count.max()))
-            times = _scaled(self.u, offset[:, None] + cols, region.t_min, region.t_max)
-            times[cols >= count[:, None]] = np.inf
-            times.sort(axis=1)
-            t[:, part] = times
-            x[:, part] = _scaled(
-                self.u, (offset + count)[:, None] + cols, region.x_min, region.x_max
-            )
-        return t, x
+        self.t, self.x = (np.hstack(parts) if times else None for parts in (ts, xs))
 
     def hidden_variables(self) -> tuple[np.ndarray, np.ndarray]:
         """local_hv's (lambda, mechanism bit) of each run."""
-        self.draw_to(int(self.base[self.conclusive].max()) + 2)
-        lam, mech = _gather(self.u, self.base[:, None] + np.arange(2)).T
+        lam, mech = self._streams.draw(np.full(self.conclusive.size, 2)).T
         return 2.0 * math.pi * lam, mech >= 0.5
 
     def processing_order(self, keys):
@@ -675,13 +648,13 @@ class _Patterns:
         An arm is the cos and sin of each run's half setting angles, each
         of shape (2 sides, runs); ``side_a`` marks the A flashes in that
         order."""
-        self.draw_to(int((self.base + steps).max()))
+        draws = self._streams.draw(steps)
         # runs sorted by steps, longest first, so that the runs still
         # collapsing at step k are a prefix of the rows
         by_steps = np.argsort(-steps, kind="stable")
         steps = steps[by_steps]
         width = int(steps[0])
-        draws = _gather(self.u, self.base[:, None] + np.arange(width))[by_steps]
+        draws = draws[by_steps]
         live = [int(np.count_nonzero(steps > k)) for k in range(width)]
         side_a = side_a[by_steps, :width]
         for cos, sin in arms:
@@ -690,6 +663,14 @@ class _Patterns:
                 self.params, cos[:, by_steps], sin[:, by_steps], side_a, draws, live
             )
             yield plus
+
+
+def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """low + (high - low) * u, computed in place with the same two
+    operations."""
+    u *= high - low
+    u += low
+    return u
 
 
 def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
@@ -752,15 +733,16 @@ def _kernel_block(model: ModelId, rows: _Stack, params: ModelParams, seeds) -> n
     """Outcome cell of each run under each arm, shape (arms, runs), as an
     index into OUTCOME_CELLS; -1 marks an inconclusive run.  ``rows``
     holds each run's settings and rapidity."""
-    return _decide(_Patterns(params, seeds), model, rows)[0]
+    local = _MODELS[model].local_channels
+    block = _Patterns(params, seeds, times=not local, positions=rows.sinh != 0)
+    return _decide(block, model, rows)[0]
 
 
-def _decide(block: _Patterns, model: ModelId, rows: _Stack, coordinates=None):
+def _decide(block: _Patterns, model: ModelId, rows: _Stack, every_flash=False):
     """The decision stage of both paths.  Returns _kernel_block's cells
-    and, if the flash path passes the block's ``coordinates()``, the
-    channel (True for +1) in each flash column under the block's one arm;
-    else None, and each run's collapse stops at its first channels."""
-    every_flash = coordinates is not None
+    and, if ``every_flash``, the channel (True for +1) in each flash
+    column under the block's one arm; else None, and each run's collapse
+    stops at its first channels."""
     conclusive = block.conclusive
     runs = np.flatnonzero(conclusive)
     cells = np.full((rows.angle.shape[0], conclusive.size), -1, dtype=np.intp)
@@ -780,7 +762,7 @@ def _decide(block: _Patterns, model: ModelId, rows: _Stack, coordinates=None):
         return cells, plus
 
     order, in_a, first_a, first_b = block.processing_order(
-        _frame_times(*(coordinates or block.coordinates()), rows.cosh[:, None], rows.sinh[:, None])
+        _frame_times(block.t, block.x, rows.cosh[:, None], rows.sinh[:, None])
     )
     steps = block.n_a + block.n_b if every_flash else np.maximum(first_a, first_b) + 1
     steps = np.where(conclusive, steps, 0)
@@ -821,8 +803,8 @@ def _flash_block(
     laid out from the decision stage; ``rows`` has one settings arm."""
     block = _Patterns(params, seeds)
     steps = np.where(block.conclusive, block.n_a + block.n_b, 0)
-    t, x = coordinates = block.coordinates()
-    (cells,), plus = _decide(block, model, rows, coordinates)
+    t, x = block.t, block.x
+    (cells,), plus = _decide(block, model, rows, every_flash=True)
     t_frame = _frame_times(t, x, math.cosh(frame.rapidity), math.sinh(frame.rapidity))
     report = _time_order(t_frame)
     run = np.repeat(np.arange(seeds.size), steps)

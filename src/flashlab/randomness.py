@@ -127,6 +127,13 @@ def random_bits(rng: np.random.Generator, n_bits: int) -> np.ndarray:
 # maps each XSL-RR output x to (x >> 11) * 2^-53 (O'Neill, "PCG", 2014;
 # NumPy NEP 19 fixes these streams).  All arithmetic is in uint32/uint64
 # arrays, where numpy wraps modulo the word size exactly as the C code does.
+#
+# Each stream has its own cursor, its LCG state.  ``draw`` computes the
+# next values of each stream, as many as that stream is asked for, and
+# ``skip`` jumps a stream over values nobody reads in one step, without
+# computing them.  Either way the stream ends where ``lengths[i]`` calls of
+# ``GeneratorSource(seed).uniform`` would leave it, so a value drawn after
+# a skip is the value the scalar source draws there.
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -188,9 +195,10 @@ def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
 def _mulhi64(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product a * b, on 32-bit limbs b = b1 b0."""
     a0, a1 = a & _M32, a >> _U64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U64(32)) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    # no sum below can carry out of 64 bits
+    low = a1 * b0 + ((a0 * b0) >> _U64(32))
+    mid = a0 * b1 + (low & _M32)
+    return a1 * b1 + (low >> _U64(32)) + (mid >> _U64(32))
 
 
 def _mul128(hi, lo, factor) -> tuple[np.ndarray, np.ndarray]:
@@ -199,79 +207,119 @@ def _mul128(hi, lo, factor) -> tuple[np.ndarray, np.ndarray]:
     return _mulhi64(lo, f_lo0, f_lo1) + lo * f_hi + hi * f_lo, lo * f_lo
 
 
-def _words128(values: list[int]) -> tuple:
-    """128-bit constants as column vectors: hi, lo and the 32-bit limbs of lo."""
-    hi = np.array([v >> 64 for v in values], dtype=_U64)[:, None]
-    lo = np.array([v & _MASK64 for v in values], dtype=_U64)[:, None]
+def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2^128 of two (hi, lo) pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _words128(values) -> tuple:
+    """128-bit constants as arrays: hi, lo and the 32-bit limbs of lo."""
+    hi = np.array([v >> 64 for v in values], dtype=_U64)
+    lo = np.array([v & _MASK64 for v in values], dtype=_U64)
     return hi, lo, lo & _M32, lo >> _U64(32)
 
 
-# Draws are made in batches of columns.  The LCG state after j steps is
-# mult_j * state + incr_j * inc (mod 2^128), with mult_j = M^j and
-# incr_j = M^(j-1) + ... + M + 1, so a batch computes steps j = 1..width
-# in one pass of array operations.  The width is at most _JUMP and keeps
-# a batch within _JUMP_CELLS values, which stay in cache: few streams get
-# wide batches, thousands of streams narrow ones.
+# A draw computes its values a batch of at most `_batch` steps at a time,
+# over the streams that still need values: value j of a batch comes from
+# the state mult_j * s + incr_j * inc, with mult_j and incr_j from
+# _jump_table, so a batch needs no step-by-step recurrence.  incr_j * inc
+# does not depend on the state, so each stream computes it once, for
+# j = 1.._batch.  The width is at most _JUMP and keeps a batch within
+# _JUMP_CELLS values, which stay in cache: few streams get wide batches,
+# thousands of streams narrow ones.  A row's last batch may compute a few
+# values past its length; its cursor still stops at the length.
 _JUMP = 64
 _JUMP_CELLS = 1 << 14
 
 
 @functools.cache
-def _jump_table() -> tuple[tuple, tuple]:
+def _jump_table(size: int) -> tuple[tuple, tuple]:
+    """The words of (mult_d, incr_d) for d = 0 .. size - 1, cached by size:
+    d LCG steps take a state s to mult_d * s + incr_d * inc (mod 2^128),
+    with mult_d = M^d and incr_d = M^(d-1) + ... + M + 1."""
     mult, incr, mults, incrs = 1, 0, [], []
-    for _ in range(_JUMP):
-        mult = (mult * _PCG_MULT) & _MASK128
-        incr = (incr * _PCG_MULT + 1) & _MASK128
+    for _ in range(size):
         mults.append(mult)
         incrs.append(incr)
+        mult, incr = (mult * _PCG_MULT) & _MASK128, (incr * _PCG_MULT + 1) & _MASK128
     return _words128(mults), _words128(incrs)
 
 
 class PCG64Streams:
-    """One numpy PCG64 stream per seed, advanced together.
+    """One numpy PCG64 stream per seed, each with its own cursor.
 
-    ``random(k)`` returns, row by row, the next k values that
-    ``np.random.Generator(np.random.PCG64(seed)).random()`` would.
+    Stream i yields the values that
+    ``np.random.Generator(np.random.PCG64(seeds[i])).random()`` would, in
+    order.  ``draw(lengths)`` returns each stream's next ``lengths[i]``
+    values and ``skip(lengths)`` passes over them; both advance stream i
+    by exactly ``lengths[i]``.
     """
 
-    __slots__ = ("_hi", "_lo", "_mults", "_incs", "_batch")
+    __slots__ = ("_hi", "_lo", "_inc", "_mults", "_incs", "_batch")
 
     def __init__(self, seeds: np.ndarray):
         seeds = np.asarray(seeds, dtype=_U64)
         state_hi, state_lo, seq_hi, seq_lo = _seed_sequence_words(seeds)
         # pcg_setseq_128_srandom_r: state 0, inc = (seq << 1) | 1, step
         # (giving inc), add the initial state, step
-        inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
-        inc_lo = (seq_lo << _U64(1)) | _U64(1)
+        self._inc = inc = (
+            (seq_hi << _U64(1)) | (seq_lo >> _U64(63)),
+            (seq_lo << _U64(1)) | _U64(1),
+        )
         self._batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, seeds.size)))
-        self._mults, incrs = _jump_table()
-        # incr_j * inc does not depend on the state, so every batch reuses it
-        self._incs = _mul128(inc_hi, inc_lo, tuple(w[: self._batch] for w in incrs))
-        self._lo = inc_lo + state_lo
-        self._hi = inc_hi + state_hi + (self._lo < state_lo)
-        self._advance(1)
+        # mult_j and incr_j for j = 1..batch, as columns
+        self._mults, incrs = (
+            tuple(w[1 : self._batch + 1, None] for w in words) for words in _jump_table(_JUMP + 1)
+        )
+        # incr_j * inc of each stream, (batch, streams): every draw reuses it
+        self._incs = _mul128(*inc, incrs)
+        state = _add128(inc, (state_hi, state_lo))
+        self._hi, self._lo = _add128(_mul128(*state, tuple(w[0] for w in self._mults)), inc)
 
-    def _advance(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The states after 1..k <= batch steps, as (k, streams) arrays;
-        keeps the last."""
-        a_hi, a_lo = _mul128(self._hi, self._lo, tuple(w[:k] for w in self._mults))
-        c_hi, c_lo = self._incs[0][:k], self._incs[1][:k]
-        lo = a_lo + c_lo
-        hi = a_hi + c_hi + (lo < c_lo)
-        self._hi, self._lo = hi[-1].copy(), lo[-1].copy()  # not views that keep hi, lo alive
-        return hi, lo
+    def _states(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The states of streams ``rows`` after 1..k <= batch steps from
+        their cursors, as (k, rows) arrays; moves no cursor."""
+        return _add128(
+            _mul128(self._hi[rows], self._lo[rows], tuple(w[:k] for w in self._mults)),
+            (self._incs[0][:k, rows], self._incs[1][:k, rows]),
+        )
+
+    def draw(self, lengths) -> np.ndarray:
+        """The next ``lengths[i]`` values of each stream i, left-aligned in
+        row i of a (streams, max length) array.  A cell past its stream's
+        length holds 0 or a value the stream has not yet reached."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        out = np.zeros((lengths.size, int(lengths.max(initial=0))))
+        for start in range(0, out.shape[1], self._batch):
+            rows = np.flatnonzero(lengths > start)
+            if rows.size == lengths.size:  # every stream: views, not copies
+                rows = slice(None)
+            k = min(self._batch, out.shape[1] - start)
+            hi, lo = self._states(rows, k)
+            out[rows, start : start + k] = _next_double(hi, lo).T
+            last = (np.minimum(lengths[rows] - start, k) - 1, np.arange(hi.shape[1]))
+            self._hi[rows], self._lo[rows] = hi[last], lo[last]
+        return out
+
+    def skip(self, lengths) -> None:
+        """Advance each stream i by ``lengths[i]`` values in one jump:
+        state <- M^d s + (M^(d-1) + ... + M + 1) inc with d = lengths[i],
+        from _jump_table's words for d."""
+        rows = np.flatnonzero(lengths)
+        if rows.size == 0:  # the flash path skips nothing
+            return
+        steps = np.asarray(lengths)[rows]
+        table = _jump_table(1 << int(steps.max()).bit_length())
+        mults, incrs = (tuple(w[steps] for w in words) for words in table)
+        self._hi[rows], self._lo[rows] = _add128(
+            _mul128(self._hi[rows], self._lo[rows], mults),
+            _mul128(self._inc[0][rows], self._inc[1][rows], incrs),
+        )
 
     def random(self, k: int) -> np.ndarray:
-        return self.fill(np.empty((self._lo.size, k)))
-
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """``out`` (streams, k), filled with the next k values of each stream."""
-        k = out.shape[1]
-        for start in range(0, k, self._batch):
-            out[:, start : start + self._batch] = _next_double(
-                *self._advance(min(self._batch, k - start))
-            ).T
-        return out
+        """The next k values of every stream, (streams, k)."""
+        return self.draw(np.full(self._lo.size, k))
 
 
 def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

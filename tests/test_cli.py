@@ -197,12 +197,35 @@ def test_bad_experiment_values_are_line_anchored(tmp_path, capsys, command, entr
         (("--frame", "25"), "--frame: |rapidity| must be <= 20.0 (got 25.0)"),
         (("--a", "nan"), "--a: setting angle must be finite"),
         (("--b=-inf",), "--b: setting angle must be finite"),
+        (("--a", "-inf"), "--a: setting angle must be finite"),
+        (("--frame", "-2.5e1"), "--frame: |rapidity| must be <= 20.0 (got -25.0)"),
+        (("--fra", "-2.5e1"), "--frame: |rapidity| must be <= 20.0 (got -25.0)"),
     ],
 )
 def test_bad_experiment_flags_name_the_flag(tmp_path, capsys, flag, message):
     assert run_cli("run", *flag, "--n", "10", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "certify"])
+def test_negative_flag_values_parse_space_separated(tmp_path, capsys, command):
+    # argparse alone reads "-1e-3" after --frame as an unknown flag and
+    # exits 2; each numeric flag takes the token after it, as with "="
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[classify]\nn_qf = 20\nn_nosig = 20\nn_locality = 20\nn_eff = 20\n"
+                   "[certify]\nk_max = 0\nwitness_samples = 10\n")
+    values = {"--frame": "-1e-3", "--a": "-1e-5", "--b": "-2.5", "--seed": "-7", "--n": "40"}
+    outputs = []
+    for joined in (False, True):
+        out = tmp_path / f"joined{joined}"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        for flag, value in values.items():
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        assert run_cli(*argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_config_file_with_flag_override(tmp_path):

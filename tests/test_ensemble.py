@@ -29,6 +29,7 @@ from flashlab.models import (
     EnsembleRequest,
     FlashEnsemble,
     ModelParams,
+    _blocks,
     _kernel_block,
     _poisson_cdf_table,
     _poisson_inverse,
@@ -101,6 +102,43 @@ def test_pcg64_streams_match_numpy():
     np.testing.assert_array_equal(got, reference(seeds, 6))
 
 
+def test_pcg64_cursor_draws_and_skips_match_numpy():
+    # each stream moves by exactly its own length, drawn or skipped; lengths
+    # of 0, across the batch width (64 for 7 streams, 16 for 1,000) and
+    # skips past 64 and 1,000 values
+    def check(seeds, steps):
+        streams = PCG64Streams(np.array(seeds, dtype=np.uint64))
+        numpy_streams = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        for op, lengths in steps:
+            if op == "skip":
+                streams.skip(lengths)
+                for gen, k in zip(numpy_streams, lengths):
+                    gen.random(k)
+                continue
+            got = streams.draw(lengths)
+            assert got.shape == (len(seeds), max(lengths))
+            for row, gen, k in zip(got, numpy_streams, lengths):
+                np.testing.assert_array_equal(row[:k], gen.random(k))
+                assert ((row[k:] >= 0.0) & (row[k:] < 1.0)).all()
+
+    check(EDGE_SEEDS, [
+        ("draw", [0, 1, 63, 64, 65, 130, 7]),
+        ("skip", [0, 65, 1001, 64, 1, 0, 2000]),
+        ("draw", [0] * 7),
+        ("skip", [0] * 7),
+        ("draw", [3, 0, 1, 64, 128, 2, 1]),
+        ("skip", [1500, 2, 0, 63, 1024, 1, 65]),
+        ("draw", [1] * 7),
+    ])
+    rng = np.random.default_rng(12)
+    steps = []
+    for _ in range(6):
+        steps.append(("draw", rng.integers(0, 40, 1000).tolist()))
+        steps.append(("skip", rng.integers(0, 1500, 1000).tolist()))
+    steps.append(("draw", rng.integers(0, 3, 1000).tolist()))
+    check([mix_seed(77, i) for i in range(1000)], steps)
+
+
 def _poisson_loop(u: float, mean: float) -> int:
     """CDF inversion by the term recurrence, stopping where the table ends."""
     k = 0
@@ -165,6 +203,41 @@ def test_ensemble_counts_across_blocks(model):
     np.add.at(expected, (want[0, ok], want[1, ok]), 1)
     np.testing.assert_array_equal(joint, expected)
     assert inconclusive == int((~ok).sum()) > 0
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(model):
+    # one sweep whose first block holds lab-frame runs, which skip their
+    # positions, beside moving-frame runs, which read them (local_hv skips
+    # both patterns everywhere); checked run for run, block by block.  At
+    # these small rapidities the two boxes overlap in frame time, so the
+    # positions decide how A and B flashes interleave.
+    params = ModelParams(epsilon=0.02)
+    arms = [SettingPair(0.4, 1.3), SettingPair(0.4, 2.9)]
+    requests = [
+        EnsembleRequest(arms, Frame(0.0), 700, 3),
+        EnsembleRequest(arms, Frame(0.04), 900, 5),
+        EnsembleRequest(arms, Frame(0.0), 300, 7),
+        EnsembleRequest(arms, Frame(-0.02), 250, 11),
+    ]
+    assert sum(r.n for r in requests) > _KERNEL_BLOCK
+    got = [_kernel_block(model, rows, params, seeds) for _, _, rows, seeds in _blocks(model, requests)]
+    got = np.hstack(got)
+    want = np.hstack([
+        scalar_cells(model, arms, r.frame, params, mix_seeds(r.master_seed, 0, r.n).tolist())
+        for r in requests
+    ])
+    mismatched = np.flatnonzero((got != want).any(axis=0))
+    assert mismatched.size == 0, f"{mismatched.size} runs differ, first at row {mismatched[0]}"
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("chi", [0.0, 0.02])
+def test_kernel_matches_scalar_with_long_skips(model, chi):
+    # about 600 flashes per unit box: a lab-frame run skips about 600
+    # positions per region and a local_hv run about 1,200 uniforms
+    assert_run_for_run(model, [(0.4, 1.3), (0.4, 2.9)], Frame(chi),
+                       ModelParams(flash_rate=600.0), 30, 19)
 
 
 def test_ensembles_and_classify_reject_a_runner_callable():
