@@ -61,9 +61,7 @@ from .models import (
     ensemble,
     ensembles,
     outcome_distribution,
-    run_local_hv,
-    run_preferred_frame,
-    run_rgrwf,
+    run_model,
     write_flash_csv,
 )
 from .quantum import (

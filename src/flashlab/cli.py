@@ -348,20 +348,7 @@ def cmd_run(cfg: RunConfig) -> int:
         counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
 
     conclusive = cfg.n - inconclusive
-    lines = [
-        f"model {cfg.model.value}  a={_sig6(cfg.a)}  b={_sig6(cfg.b)}  "
-        f"frame chi={_sig6(cfg.frame.rapidity)}  n={cfg.n}  seed={cfg.master_seed}",
-        f"{'outcome':<9}{'empirical':>12}{'std.err':>12}{'born':>12}",
-    ]
-    freq_json = {}
-    for cell, key in OUTCOME_KEYS.items():
-        f = counts[cell] / conclusive
-        se = math.sqrt(f * (1.0 - f) / conclusive)
-        lines.append(f"{key:<9}{_sig6(f):>12}{_sig6(se):>12}{_sig6(oracle[cell]):>12}")
-        freq_json[key] = f
-    lines.append(f"inconclusive runs: {inconclusive} of {cfg.n}")
-    print("\n".join(lines))
-
+    freq_json = {key: counts[cell] / conclusive for cell, key in OUTCOME_KEYS.items()}
     payload = {
         "command": "run",
         "model": cfg.model.value,
@@ -376,8 +363,24 @@ def cmd_run(cfg: RunConfig) -> int:
         "oracle": {OUTCOME_KEYS[c]: oracle[c] for c in OUTCOME_KEYS},
         "inconclusive": inconclusive,
     }
+    lines = [_run_header(payload), f"{'outcome':<9}{'empirical':>12}{'std.err':>12}{'born':>12}"]
+    for cell, key in OUTCOME_KEYS.items():
+        f = freq_json[key]
+        se = math.sqrt(f * (1.0 - f) / conclusive)
+        lines.append(f"{key:<9}{_sig6(f):>12}{_sig6(se):>12}{_sig6(oracle[cell]):>12}")
+    lines.append(f"inconclusive runs: {inconclusive} of {cfg.n}")
+    print("\n".join(lines))
     _write_json(cfg.out_dir / f"run_{cfg.model.value}.json", payload)
     return 0
+
+
+def _run_header(payload: dict) -> str:
+    """The first line of a run's stdout and of its report."""
+    return (
+        f"model {payload['model']}  a={_sig6(payload['a'])}  b={_sig6(payload['b'])}  "
+        f"frame chi={_sig6(payload['frame_rapidity'])}  n={payload['n']}  "
+        f"seed={payload['master_seed']}"
+    )
 
 
 _VERDICT_MARK = {"pass": "✓", "fail": "✗", "inconclusive": "?"}
@@ -432,11 +435,7 @@ def _report_lines(payload) -> list[str] | None:
         return None
     lines = []
     if payload.get("command") == "run":
-        lines.append(
-            f"model {payload['model']}  a={_sig6(payload['a'])}  b={_sig6(payload['b'])}  "
-            f"frame chi={_sig6(payload['frame_rapidity'])}  n={payload['n']}  "
-            f"seed={payload['master_seed']}"
-        )
+        lines.append(_run_header(payload))
         lines.append(f"{'outcome':<9}{'empirical':>12}{'born':>12}")
         for key in OUTCOME_KEYS.values():
             lines.append(

@@ -26,11 +26,10 @@ import numpy as np
 
 from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
 from .models import (
-    ExperimentRun, InconclusiveRunError, ModelParams, _coerce_pair, _poisson_cdf_table,
-    _simulate_run,
+    ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _poisson_cdf_table, _run,
 )
 from .quantum import CHSH_ANGLES, SettingPair, flip_arms
-from .randomness import BitSource, mix_seed, random_bits
+from .randomness import BITS_PER_UNIFORM, BitSource, mix_seed, random_bits
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-12
@@ -284,10 +283,11 @@ class JanusRealization:
                 len(_poisson_cdf_table(self.params.flash_rate * (r.t_max - r.t_min)))
                 for r in self.params.regions
             )
-            object.__setattr__(self, "bit_budget", max(DEFAULT_BIT_BUDGET, 32 * (2 + 3 * n_max)))
-        if self.bit_budget < MIN_BIT_BUDGET or self.bit_budget % 32:
+            budget = BITS_PER_UNIFORM * (2 + 3 * n_max)
+            object.__setattr__(self, "bit_budget", max(DEFAULT_BIT_BUDGET, budget))
+        if self.bit_budget < MIN_BIT_BUDGET or self.bit_budget % BITS_PER_UNIFORM:
             raise ValueError(
-                f"bit_budget must be a multiple of 32 and >= {MIN_BIT_BUDGET}"
+                f"bit_budget must be a multiple of {BITS_PER_UNIFORM} and >= {MIN_BIT_BUDGET}"
             )
         if self.channel_law not in ("quantum", "local_hv"):
             raise ValueError(f"unknown channel law {self.channel_law!r}")
@@ -304,16 +304,8 @@ def janus_run(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (j.bit_budget,):
         raise ValueError(f"bits must have length {j.bit_budget}, got {bits.shape}")
-    return _simulate_run(
-        BitSource(bits),
-        _coerce_pair(settings),
-        j.params,
-        j.native_frame.rapidity,
-        j.native_frame,
-        None,
-        local_channels=(j.channel_law == "local_hv"),
-        record_trace=record_trace,
-    )
+    model = ModelId.LOCAL_HV if j.channel_law == "local_hv" else ModelId.RGRWF
+    return _run(model, BitSource(bits), settings, j.native_frame, None, j.params, record_trace)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,25 +1,32 @@
 """Stochastic outcome models for the two-region EPR experiment.
 
-Three models run behind one seeded-runner interface:
+Three models run behind one seeded entry point, ``run_model(model,
+settings, frame, seed)``:
 
 ``rgrwf``
     The relativistic flash-collapse process.  Flashes form a Poisson
     pattern in each region; channels are drawn in the *requested frame's*
     temporal order, the first overall from the Born marginal, each later
-    one from the state collapsed by everything drawn before it.
+    one from the state collapsed by everything drawn before it.  So at
+    epsilon = 0 a region's later flashes repeat its first channel, and the
+    other region's first flash follows the quantum conditional.
 
 ``preferred_frame``
     Same flash pattern and same quantum conditioning, but the channel
     decisions are always made in the lab frame's (rapidity 0) temporal
     order, whatever frame is requested.  The flash list is still reported
-    in the requested frame's order.  The influence direction is therefore
-    fixed once and for all instead of tracking the frame.
+    in the requested frame's order.  The outcome statistics match the
+    quantum formalism exactly, but the influence direction is fixed once
+    and for all instead of tracking the frame.
 
 ``local_hv``
     A local hidden-variable contrast model: both channels are computed
     from the shared per-run randomness and the local setting only, via a
-    built-in anticorrelated strategy mixture.  No cross-region
-    conditioning of any kind.
+    built-in anticorrelated strategy mixture.  The hidden variables are a
+    phase lambda and a mechanism bit; side A outputs the strategy table at
+    its own setting and side B the negation at its own, so equal settings
+    are perfectly anticorrelated.  No cross-region conditioning of any
+    kind.
 
 Every run is a pure function of (settings, frame, seed, params).  All
 randomness is consumed as uniforms in a documented order (region A count,
@@ -336,7 +343,7 @@ def _coerce_pair(settings) -> SettingPair:
 
 
 class _Model(NamedTuple):
-    """What tells the models apart; both the runners and the kernel read it."""
+    """What tells the models apart; both ``_run`` and the kernel read it."""
 
     frame_ordered: bool  # decisions follow the requested frame, else the lab frame
     local_channels: bool  # channels from shared randomness and the local setting only
@@ -349,10 +356,29 @@ _MODELS: dict[ModelId, _Model] = {
 }
 
 
-def _run_model(model: ModelId, settings, frame, seed, params, record_trace) -> ExperimentRun:
+def run_model(
+    model,
+    settings,
+    frame: Frame,
+    seed: int,
+    params: ModelParams | None = None,
+    record_trace: bool = True,
+) -> ExperimentRun:
+    """One seeded run of ``model`` (a ModelId or its value) in ``frame``.
+
+    The uniforms come from GeneratorSource(seed); identical arguments give
+    a bit-identical run.  ``record_trace`` keeps the collapsed state after
+    each channel decision in ``state_trace``.
+    """
+    return _run(ModelId(model), GeneratorSource(seed), settings, frame, seed, params, record_trace)
+
+
+def _run(model: ModelId, source, settings, frame, seed, params, record_trace) -> ExperimentRun:
+    """One run of ``model`` on the uniforms of ``source``: the seeded runs
+    and the Janus runs both read the model's frame and channel rule here."""
     spec = _MODELS[model]
     return _simulate_run(
-        GeneratorSource(seed),
+        source,
         _coerce_pair(settings),
         params if params is not None else _DEFAULT_PARAMS,
         frame.rapidity if spec.frame_ordered else 0.0,
@@ -363,64 +389,9 @@ def _run_model(model: ModelId, settings, frame, seed, params, record_trace) -> E
     )
 
 
-def run_rgrwf(
-    settings,
-    frame: Frame,
-    seed: int,
-    params: ModelParams | None = None,
-    record_trace: bool = True,
-) -> ExperimentRun:
-    """One flash-collapse run, conditioning in the requested frame's order.
-
-    The first flash overall draws its channel from the Born marginal of
-    the initial state; every later flash draws from the marginal of the
-    state collapsed by all earlier decisions, so a region's later flashes
-    repeat its first channel (at epsilon = 0) and the other region's first
-    flash follows the quantum conditional.  Identical arguments give a
-    bit-identical run.
-    """
-    return _run_model(ModelId.RGRWF, settings, frame, seed, params, record_trace)
-
-
-def run_preferred_frame(
-    settings,
-    frame: Frame,
-    seed: int,
-    params: ModelParams | None = None,
-    record_trace: bool = True,
-) -> ExperimentRun:
-    """Flash-collapse run whose decisions always follow lab-frame order.
-
-    The requested frame only affects how the flash list is reported.  The
-    outcome statistics match the quantum formalism exactly, but the
-    direction of conditioning is pinned to the rapidity-0 frame.
-    """
-    return _run_model(ModelId.PREFERRED_FRAME, settings, frame, seed, params, record_trace)
-
-
-def run_local_hv(
-    settings,
-    frame: Frame,
-    seed: int,
-    params: ModelParams | None = None,
-    record_trace: bool = True,
-) -> ExperimentRun:
-    """Local hidden-variable run: channels from shared randomness only.
-
-    The hidden variables are a phase lambda and a mechanism bit drawn from
-    the run's seed; side A outputs the strategy table at its own setting
-    and side B outputs the negation at its own setting, so equal settings
-    are perfectly anticorrelated and nothing ever crosses between regions.
-    """
-    return _run_model(ModelId.LOCAL_HV, settings, frame, seed, params, record_trace)
-
-
-# The scalar runner of each model; perfbench/tracing.py times them through it.
-_RUNNERS: dict[ModelId, Callable] = {
-    ModelId.RGRWF: run_rgrwf,
-    ModelId.PREFERRED_FRAME: run_preferred_frame,
-    ModelId.LOCAL_HV: run_local_hv,
-}
+# run_model bound to each model, called as runner(settings, frame, seed,
+# params, record_trace=...); perfbench/tracing.py rebinds and times them.
+_RUNNERS: dict[ModelId, Callable] = {m: functools.partial(run_model, m) for m in ModelId}
 
 
 def outcome_distribution(
@@ -497,6 +468,8 @@ def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[
     ]
     if any(r.n < 0 for r in requests):
         raise ValueError("n must be >= 0")
+    if any(not r.arms for r in requests):
+        raise ValueError("each request needs at least one settings arm")
     results = [None] * len(requests)
     for arms in dict.fromkeys(len(r.arms) for r in requests):
         index = [i for i, r in enumerate(requests) if len(r.arms) == arms]

@@ -25,7 +25,7 @@ from flashlab.models import (
     InconclusiveRunError,
     ModelId,
     outcome_distribution,
-    run_rgrwf,
+    run_model,
 )
 from flashlab.quantum import (
     SettingPair,
@@ -53,7 +53,8 @@ def test_criterion_01_first_flash_balance():
     in_a = total = 0
     for i in range(N):
         try:
-            run = run_rgrwf((0.0, 0.0), LAB, mix_seed(20260810, i), record_trace=False)
+            run = run_model(ModelId.RGRWF, (0.0, 0.0), LAB, mix_seed(20260810, i),
+                            record_trace=False)
             flashes = run.flashes
         except InconclusiveRunError as exc:
             flashes = exc.flashes

@@ -2,6 +2,7 @@
 shape, and estimator behavior."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -33,9 +34,7 @@ from flashlab.models import (
     ModelParams,
     _coerce_pair,
     ensembles,
-    run_local_hv,
-    run_preferred_frame,
-    run_rgrwf,
+    run_model,
 )
 from flashlab.quantum import Outcome, SettingPair, born_joint
 from flashlab.randomness import mix_seed
@@ -101,17 +100,10 @@ def test_classify_deterministic():
     assert r1.to_json_dict() == r2.to_json_dict()
 
 
-SCALAR_RUNNERS = {
-    ModelId.RGRWF: run_rgrwf,
-    ModelId.PREFERRED_FRAME: run_preferred_frame,
-    ModelId.LOCAL_HV: run_local_hv,
-}
-
-
 def scalar_counts(runner, requests, params) -> list[tuple[np.ndarray, int]]:
     """The (joint, n_inconclusive) that ensembles() gives each request,
-    tallied run by run through a scalar runner; a run is dropped at its
-    first inconclusive arm."""
+    tallied run by run through ``runner(settings, frame, seed, params,
+    record_trace=...)``; a run is dropped at its first inconclusive arm."""
     results = []
     for request in requests:
         joint = np.zeros((len(OUTCOME_CELLS),) * len(request.arms), dtype=np.int64)
@@ -161,7 +153,7 @@ def test_classify_matches_tests_one_by_one(model, master_seed):
     ]
     for plan in plans:
         kernel = ensembles(model, plan.requests, params)
-        scalar = scalar_counts(SCALAR_RUNNERS[model], plan.requests, params)
+        scalar = scalar_counts(functools.partial(run_model, model), plan.requests, params)
         for request, (joint, dropped), (want, want_dropped) in zip(plan.requests, kernel, scalar):
             np.testing.assert_array_equal(joint, want, err_msg=str(request))
             assert dropped == want_dropped, request
@@ -190,7 +182,7 @@ def test_sample_and_probe_helpers_match_the_battery():
 
 def _signalling_toy(settings, frame, seed, params=None, record_trace=True):
     """Deliberately signalling model: alpha is set by B's field direction."""
-    run = run_local_hv(settings, frame, seed, params, record_trace)
+    run = run_model(ModelId.LOCAL_HV, settings, frame, seed, params, record_trace)
     alpha = 1 if settings.b.angle > math.pi / 2 else -1
     return dataclasses.replace(run, outcome=Outcome(alpha, run.outcome.beta))
 
@@ -235,7 +227,7 @@ def _blind_at_half(settings, frame, seed, params=None, record_trace=True):
     """preferred_frame, except that every run in frame 0.5 is inconclusive."""
     if frame.rapidity == 0.5:
         raise InconclusiveRunError(("A", "B"), ())
-    return run_preferred_frame(settings, frame, seed, params, record_trace)
+    return run_model(ModelId.PREFERRED_FRAME, settings, frame, seed, params, record_trace)
 
 
 def test_probe_without_conclusive_pairs_is_skipped():

@@ -1,11 +1,11 @@
 """Differential tests: the vectorized ensemble kernel against the scalar
 engine it reimplements, run for run, and its PCG64 streams against numpy.
 
-The scalar ``_simulate_run`` (behind ``run_rgrwf`` and friends) is the
-specification.  A failure here means some run's outcome changed, which
-breaks the reproducibility contract even when every distribution test
-still passes.  A numpy release that changes SeedSequence, PCG64 or
-``Generator.random`` fails ``test_pcg64_streams_match_numpy``.
+The scalar ``_simulate_run`` (behind ``run_model``) is the specification.
+A failure here means some run's outcome changed, which breaks the
+reproducibility contract even when every distribution test still passes.
+A numpy release that changes SeedSequence, PCG64 or ``Generator.random``
+fails ``test_pcg64_streams_match_numpy``.
 """
 
 import csv
@@ -18,15 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashlab import models
 from flashlab.classify import classify
 from flashlab.cli import main
 from flashlab.minkowski import Frame, Region, boost_time, order_flip_rapidity
 from flashlab.models import (
     _KERNEL_BLOCK,
+    _RUNNERS,
     OUTCOME_CELLS,
     InconclusiveRunError,
     ModelId,
     EnsembleRequest,
+    ExperimentRun,
     FlashEnsemble,
     ModelParams,
     _blocks,
@@ -36,33 +39,25 @@ from flashlab.models import (
     _stack,
     ensemble,
     ensembles,
-    run_local_hv,
-    run_preferred_frame,
-    run_rgrwf,
+    run_model,
     write_flash_csv,
 )
 from flashlab.quantum import PureState, SettingPair
 from flashlab.randomness import PCG64Streams, mix_seed, mix_seeds
 
-RUNNERS = {
-    ModelId.RGRWF: run_rgrwf,
-    ModelId.PREFERRED_FRAME: run_preferred_frame,
-    ModelId.LOCAL_HV: run_local_hv,
-}
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 
 
 def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
-    """Per-run outcome cells from the scalar runner; -1 if inconclusive."""
-    runner = RUNNERS[model]
+    """Per-run outcome cells from the scalar runs; -1 if inconclusive."""
     out = np.full((len(pairs), len(seeds)), -1)
     for i, seed in enumerate(seeds):
         for arm, pair in enumerate(pairs):
             try:
-                outcome = runner(pair, frame, int(seed), params, record_trace=False).outcome
+                run = run_model(model, pair, frame, int(seed), params, record_trace=False)
             except InconclusiveRunError:
                 continue
-            out[arm, i] = OUTCOME_CELLS.index((outcome.alpha, outcome.beta))
+            out[arm, i] = OUTCOME_CELLS.index((run.outcome.alpha, run.outcome.beta))
     return out
 
 
@@ -243,12 +238,45 @@ def test_kernel_matches_scalar_with_long_skips(model, chi):
 def test_ensembles_and_classify_reject_a_runner_callable():
     # a model is named by its ModelId (or its value); a scalar runner is
     # not a model handle, even one of a built-in model
+    runner = _RUNNERS[ModelId.RGRWF]
     with pytest.raises(ValueError, match="is not a valid ModelId"):
-        ensembles(run_rgrwf, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 10, 4)])
+        ensembles(runner, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 10, 4)])
     with pytest.raises(ValueError, match="is not a valid ModelId"):
-        ensemble(run_rgrwf, [(0.0, 1.0)], Frame(0.0), None, 10, 4)
+        ensemble(runner, [(0.0, 1.0)], Frame(0.0), None, 10, 4)
     with pytest.raises(ValueError, match="is not a valid ModelId"):
-        classify(run_rgrwf)
+        classify(runner)
+
+
+def test_ensembles_reject_a_request_without_arms():
+    with pytest.raises(ValueError, match="at least one settings arm"):
+        ensemble(ModelId.RGRWF, [], Frame(0.0), n=5)
+    with pytest.raises(ValueError, match="at least one settings arm"):
+        ensembles(ModelId.LOCAL_HV, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 5, 1),
+                                     EnsembleRequest((), Frame(0.0), 5, 1)])
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_runner_table_binds_each_model(model, monkeypatch):
+    # perfbench/tracing.py calls the _RUNNERS entries with this signature
+    # and counts uniforms by rebinding models.GeneratorSource
+    pair, frame, seed = SettingPair(0.4, 1.3), Frame(0.3), mix_seed(5, 2)
+    want = run_model(model, pair, frame, seed, None, record_trace=False)
+    got = _RUNNERS[model](pair, frame, seed, None, record_trace=False)
+    for name in ExperimentRun.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    built = []
+
+    class CountingSource(models.GeneratorSource):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            built.append(seed)
+
+    monkeypatch.setattr(models, "GeneratorSource", CountingSource)
+    assert run_model(model.value, pair, frame, seed, record_trace=False) == want
+    assert _RUNNERS[model](pair, frame, seed, None, record_trace=False) == want
+    assert built == [seed, seed]
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -337,8 +365,8 @@ def test_flash_blocks_match_scalar_property(model, params, chi, angles, master_s
     want, cells = [], []
     for i in range(n):
         try:
-            run = RUNNERS[model](SettingPair(*angles), frame, mix_seed(master_seed, i), params,
-                                 record_trace=False)
+            run = run_model(model, SettingPair(*angles), frame, mix_seed(master_seed, i), params,
+                            record_trace=False)
         except InconclusiveRunError:
             cells.append(-1)
             continue
@@ -380,8 +408,8 @@ def scalar_flash_csv(model, pair, frame, params, n, master_seed) -> bytes:
     writer.writerow(["run_id", "region", "t_lab", "x_lab", "t_frame", "channel", "index"])
     for i in range(n):
         try:
-            run = RUNNERS[model](pair, frame, mix_seed(master_seed, i), params,
-                                 record_trace=False)
+            run = run_model(model, pair, frame, mix_seed(master_seed, i), params,
+                            record_trace=False)
         except InconclusiveRunError:
             continue
         for flash in run.flashes:

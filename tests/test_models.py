@@ -16,9 +16,7 @@ from flashlab.models import (
     _poisson_inverse,
     lhv_correlator,
     outcome_distribution,
-    run_local_hv,
-    run_preferred_frame,
-    run_rgrwf,
+    run_model,
     write_flash_csv,
 )
 from flashlab.quantum import SettingPair, born_joint, collapse, singlet
@@ -29,10 +27,10 @@ LAB = Frame(0.0)
 CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _runs(runner, settings, frame, n, master_seed, **kwargs):
+def _runs(model, settings, frame, n, master_seed, **kwargs):
     for i in range(n):
         try:
-            yield runner(settings, frame, mix_seed(master_seed, i), **kwargs)
+            yield run_model(model, settings, frame, mix_seed(master_seed, i), **kwargs)
         except InconclusiveRunError:
             continue
 
@@ -70,14 +68,14 @@ def test_poisson_inverse_stops_when_the_term_underflows():
 
 
 def test_equal_settings_always_anticorrelated():
-    for run in _runs(run_rgrwf, (0.7, 0.7), LAB, 300, 5):
+    for run in _runs(ModelId.RGRWF, (0.7, 0.7), LAB, 300, 5):
         assert run.outcome.alpha == -run.outcome.beta
 
 
 def test_bit_identical_reproducibility():
-    for runner in (run_rgrwf, run_preferred_frame, run_local_hv):
-        r1 = runner((0.3, 1.1), Frame(0.4), 991)
-        r2 = runner((0.3, 1.1), Frame(0.4), 991)
+    for model in ModelId:
+        r1 = run_model(model, (0.3, 1.1), Frame(0.4), 991)
+        r2 = run_model(model, (0.3, 1.1), Frame(0.4), 991)
         assert r1.outcome == r2.outcome
         assert r1.flashes == r2.flashes
         assert all(
@@ -87,14 +85,14 @@ def test_bit_identical_reproducibility():
 
 
 def test_channel_persistence_within_region():
-    for run in _runs(run_rgrwf, (0.2, 2.0), Frame(0.8), 200, 17):
+    for run in _runs(ModelId.RGRWF, (0.2, 2.0), Frame(0.8), 200, 17):
         for region in ("A", "B"):
             channels = {f.channel for f in run.flashes if f.region == region}
             assert len(channels) == 1
 
 
 def test_outcome_matches_first_flash_channels():
-    for run in _runs(run_rgrwf, (0.0, 1.0), LAB, 100, 23):
+    for run in _runs(ModelId.RGRWF, (0.0, 1.0), LAB, 100, 23):
         first = {}
         for f in run.flashes:  # flashes are reported in frame-time order
             first.setdefault(f.region, f.channel)
@@ -105,7 +103,7 @@ def test_outcome_matches_first_flash_channels():
 def test_flashes_inside_regions_and_sorted():
     boxes = {"A": DEFAULT_REGION_A, "B": DEFAULT_REGION_B}
     chi = 0.6
-    for run in _runs(run_rgrwf, (0.0, 1.0), Frame(chi), 50, 29):
+    for run in _runs(ModelId.RGRWF, (0.0, 1.0), Frame(chi), 50, 29):
         times = [boost_time(f.event.t, f.event.x, chi) for f in run.flashes]
         assert times == sorted(times)
         for f in run.flashes:
@@ -115,7 +113,7 @@ def test_flashes_inside_regions_and_sorted():
 
 
 def test_state_trace_follows_collapses():
-    run = run_rgrwf((0.4, 1.3), LAB, 4242)
+    run = run_model(ModelId.RGRWF, (0.4, 1.3), LAB, 4242)
     assert len(run.state_trace) == len(run.flashes)
     # replay: the first snapshot is the initial state collapsed by the
     # frame-earliest flash
@@ -132,7 +130,7 @@ def test_preferred_frame_processes_in_lab_order():
     # lab-earliest flash, not the frame-earliest one
     frame = Frame(1.0)
     checked = 0
-    for run in _runs(run_preferred_frame, (0.4, 1.3), frame, 50, 77):
+    for run in _runs(ModelId.PREFERRED_FRAME, (0.4, 1.3), frame, 50, 77):
         lab_first = min(run.flashes, key=lambda f: (f.event.t, f.region, f.index))
         angle = 0.4 if lab_first.region == "A" else 1.3
         expected = collapse(singlet(), lab_first.region, angle, lab_first.channel)
@@ -185,7 +183,7 @@ def test_rgrwf_qf_grid(n=1_500):
 
 def test_first_flash_balance(n=20_000):
     in_a = total = 0
-    for run in _runs(run_rgrwf, (0.0, 0.0), LAB, n, 31, record_trace=False):
+    for run in _runs(ModelId.RGRWF, (0.0, 0.0), LAB, n, 31, record_trace=False):
         total += 1
         in_a += run.flashes[0].region == "A"
     frac = in_a / total
@@ -197,7 +195,7 @@ def test_poisson_count_sanity(n=10_000):
     counts = []
     for i in range(n):
         try:
-            run = run_rgrwf((0.0, 0.0), LAB, mix_seed(61, i), record_trace=False)
+            run = run_model(ModelId.RGRWF, (0.0, 0.0), LAB, mix_seed(61, i), record_trace=False)
         except InconclusiveRunError as exc:
             run = None
             counts.append(sum(1 for f in exc.flashes if f.region == "A"))
@@ -212,15 +210,15 @@ def test_local_hv_alpha_never_reads_b():
     for i in range(300):
         seed = mix_seed(71, i)
         try:
-            r1 = run_local_hv((0.9, 0.1), LAB, seed, record_trace=False)
-            r2 = run_local_hv((0.9, 2.7), LAB, seed, record_trace=False)
+            r1 = run_model(ModelId.LOCAL_HV, (0.9, 0.1), LAB, seed, record_trace=False)
+            r2 = run_model(ModelId.LOCAL_HV, (0.9, 2.7), LAB, seed, record_trace=False)
         except InconclusiveRunError:
             continue
         assert r1.outcome.alpha == r2.outcome.alpha
 
 
 def test_local_hv_equal_settings_anticorrelated():
-    for run in _runs(run_local_hv, (1.5, 1.5), LAB, 300, 83):
+    for run in _runs(ModelId.LOCAL_HV, (1.5, 1.5), LAB, 300, 83):
         assert run.outcome.alpha == -run.outcome.beta
 
 
@@ -253,7 +251,7 @@ def test_inconclusive_runs_counted_and_carried():
     # a tiny flash rate makes zero-flash regions overwhelmingly likely
     params = ModelParams(flash_rate=1e-9)
     with pytest.raises(InconclusiveRunError) as err:
-        run_rgrwf((0.0, 0.0), LAB, 12, params)
+        run_model(ModelId.RGRWF, (0.0, 0.0), LAB, 12, params)
     assert err.value.empty_labels
     with pytest.raises(RuntimeError, match="all runs"):
         outcome_distribution(ModelId.RGRWF, (0.0, 0.0), LAB, params, n=5, master_seed=1)
@@ -262,7 +260,7 @@ def test_inconclusive_runs_counted_and_carried():
 def test_epsilon_softening_allows_channel_breaks():
     params = ModelParams(epsilon=0.1)
     broke = 0
-    for run in _runs(run_rgrwf, (0.0, 1.0), LAB, 400, 19, params=params):
+    for run in _runs(ModelId.RGRWF, (0.0, 1.0), LAB, 400, 19, params=params):
         for region in ("A", "B"):
             channels = {f.channel for f in run.flashes if f.region == region}
             broke += len(channels) > 1
