@@ -57,10 +57,7 @@ from .models import (
     InconclusiveRunError,
     ModelId,
     ModelParams,
-    OutcomeDistribution,
-    ensemble,
     ensembles,
-    outcome_distribution,
     run_model,
     write_flash_csv,
 )

@@ -32,7 +32,6 @@ from .models import (
     EnsembleRequest,
     ModelId,
     ModelParams,
-    OutcomeDistribution,
     _coerce_pair,
     ensembles,
 )
@@ -170,13 +169,10 @@ def _run(model, params: ModelParams, plan: _Plan) -> TestResult:
 
 def collect_samples(
     model, params: ModelParams, settings, frame: Frame, n: int, master_seed: int
-) -> OutcomeDistribution:
-    """Run the model n times with counter-derived seeds; unlike
-    outcome_distribution, all n runs may be inconclusive."""
-    ((joint, inconclusive),) = ensembles(
-        model, [EnsembleRequest((settings,), frame, n, master_seed)], params
-    )
-    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, joint.tolist())), n, inconclusive)
+) -> tuple:
+    """The ``ensembles`` counts ``(joint, n_inconclusive)`` of n runs of
+    one settings pair in ``frame``."""
+    return ensembles(model, [EnsembleRequest((settings,), frame, n, master_seed)], params)[0]
 
 
 def _cell_requests(pairs, n: int, master_seed: int) -> list:
@@ -479,17 +475,10 @@ def classify(
     results = {
         name: plan.verdict([next(counts) for _ in plan.requests]) for name, plan in plans.items()
     }
-    sample_sizes = {
-        "qf_agreement": config.n_qf,
-        "no_signalling": config.n_nosig,
-        "locality": config.n_locality,
-        "effective_locality": config.n_eff,
-        "effective_causality": config.n_eff,
-    }
     return ClassificationReport(
         model=model.value,
         results=results,
-        sample_sizes=sample_sizes,
+        sample_sizes={name: plan.requests[0].n for name, plan in plans.items()},
         seeds=seeds,
         params_digest=params_digest(params),
     )

@@ -30,10 +30,11 @@ from .models import (
     DEFAULT_REGION_A,
     DEFAULT_REGION_B,
     OUTCOME_CELLS,
+    EnsembleRequest,
     FlashEnsemble,
     ModelId,
     ModelParams,
-    ensemble,
+    ensembles,
     write_flash_csv,
 )
 from .quantum import CHSH_ANGLES, PureState, Setting, SettingPair, born_joint, chsh_value, singlet
@@ -340,12 +341,12 @@ def cmd_run(cfg: RunConfig) -> int:
         with _atomic_output(cfg.out_dir / f"flashes_{cfg.model.value}.csv") as tmp:
             write_flash_csv(tmp, flashes)
             _require_conclusive(flashes.inconclusive, cfg.n)
-        counts, inconclusive = flashes.counts, flashes.inconclusive
+        joint, inconclusive = flashes.joint, flashes.inconclusive
     else:
-        joint, inconclusive = ensemble(cfg.model, [pair], cfg.frame, cfg.params, cfg.n,
-                                       cfg.master_seed)
+        request = EnsembleRequest((pair,), cfg.frame, cfg.n, cfg.master_seed)
+        ((joint, inconclusive),) = ensembles(cfg.model, [request], cfg.params)
         _require_conclusive(inconclusive, cfg.n)
-        counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
+    counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
 
     conclusive = cfg.n - inconclusive
     freq_json = {key: counts[cell] / conclusive for cell, key in OUTCOME_KEYS.items()}

@@ -138,28 +138,6 @@ class ExperimentRun:
     state_trace: tuple[PureState, ...]
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Empirical outcome frequencies over the conclusive runs."""
-
-    counts: dict[tuple[int, int], int]
-    n_total: int
-    n_inconclusive: int
-
-    @property
-    def n_conclusive(self) -> int:
-        return self.n_total - self.n_inconclusive
-
-    @property
-    def frequencies(self) -> dict[tuple[int, int], float]:
-        n = self.n_conclusive
-        return {k: v / n for k, v in self.counts.items()}
-
-    def correlator(self) -> float:
-        n = self.n_conclusive
-        return sum(a * b * c for (a, b), c in self.counts.items()) / n
-
-
 def _poisson_inverse(u: float, mean: float) -> int:
     """Poisson sample by CDF inversion of a single uniform: the number of
     partial sums in ``_poisson_cdf_table(mean)`` that are <= u."""
@@ -368,8 +346,11 @@ def run_model(
 
     The uniforms come from GeneratorSource(seed); identical arguments give
     a bit-identical run.  ``record_trace`` keeps the collapsed state after
-    each channel decision in ``state_trace``.
+    each channel decision in ``state_trace``.  ``seed`` must be an int:
+    a run seeded from the operating system's entropy could not be replayed.
     """
+    if seed is None:
+        raise ValueError("run_model needs a seed; a run without one cannot be replayed")
     return _run(ModelId(model), GeneratorSource(seed), settings, frame, seed, params, record_trace)
 
 
@@ -394,29 +375,6 @@ def _run(model: ModelId, source, settings, frame, seed, params, record_trace) ->
 _RUNNERS: dict[ModelId, Callable] = {m: functools.partial(run_model, m) for m in ModelId}
 
 
-def outcome_distribution(
-    model,
-    settings,
-    frame: Frame,
-    params: ModelParams | None = None,
-    n: int = 10_000,
-    master_seed: int = 0,
-) -> OutcomeDistribution:
-    """Empirical joint outcome frequencies over n seeded runs.
-
-    Per-run seeds are mix_seed(master_seed, i) for i in range(n), so the
-    result is reproducible and independent of evaluation order.
-    Inconclusive (zero-flash) runs are excluded from the frequencies and
-    counted separately.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    counts, inconclusive = ensemble(model, [settings], frame, params, n, master_seed)
-    if inconclusive == n:
-        raise RuntimeError("all runs were inconclusive; no outcome distribution")
-    return OutcomeDistribution(dict(zip(OUTCOME_CELLS, counts.tolist())), n, inconclusive)
-
-
 class EnsembleRequest(NamedTuple):
     """n seeded runs, each run once per settings arm: run i uses seed
     mix_seed(master_seed, i) under every arm, in ``frame``."""
@@ -427,30 +385,14 @@ class EnsembleRequest(NamedTuple):
     master_seed: int
 
 
-def ensemble(
-    model,
-    arms,
-    frame: Frame,
-    params: ModelParams | None = None,
-    n: int = 10_000,
-    master_seed: int = 0,
-) -> tuple[np.ndarray, int]:
-    """Outcome counts of n seeded runs, each run once per settings arm.
-
-    Run i uses seed mix_seed(master_seed, i) under every arm, so arms
-    differ only in their settings.  Returns ``(joint, n_inconclusive)``:
-    ``joint[c_1, ..., c_k]`` counts the runs whose outcome under arm j is
-    ``OUTCOME_CELLS[c_j]``; a run inconclusive under any arm is counted
-    once in ``n_inconclusive`` instead.  The one-request case of
-    ``ensembles``.
-    """
-    (result,) = ensembles(model, [EnsembleRequest(arms, frame, n, master_seed)], params)
-    return result
-
-
 def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[np.ndarray, int]]:
-    """``ensemble``'s ``(joint, n_inconclusive)`` for each EnsembleRequest,
+    """Outcome counts ``(joint, n_inconclusive)`` of each EnsembleRequest,
     in order.
+
+    ``joint[c_1, ..., c_k]`` counts the request's runs whose outcome under
+    arm j is ``OUTCOME_CELLS[c_j]``, one axis per arm, so a one-arm request
+    gives a (4,) array in OUTCOME_CELLS order; a run inconclusive under any
+    arm is counted once in ``n_inconclusive`` instead.
 
     Built-in models go through a vectorized kernel that gives each run
     the outcome ``_simulate_run`` gives it.  The runs of all requests with
@@ -801,8 +743,8 @@ class FlashEnsemble:
 
     Iterating yields FlashBlocks.  Run i uses seed mix_seed(master_seed,
     i), and every run has the flashes, channels and outcome that
-    ``_simulate_run`` gives it.  ``counts`` and ``inconclusive`` tally the
-    outcomes of the runs of the blocks yielded so far.
+    ``_simulate_run`` gives it.  ``joint`` and ``inconclusive`` are the
+    ``ensembles`` counts of the runs of the blocks yielded so far.
     """
 
     def __init__(
@@ -822,7 +764,7 @@ class FlashEnsemble:
         self.params = params if params is not None else _DEFAULT_PARAMS
         self.n = n
         self.master_seed = master_seed
-        self.counts = dict.fromkeys(OUTCOME_CELLS, 0)
+        self.joint = np.zeros(len(OUTCOME_CELLS), dtype=np.int64)
         self.inconclusive = 0
 
     def __iter__(self):
@@ -831,8 +773,7 @@ class FlashEnsemble:
         for start, req, rows, seeds in _blocks(self.model, requests):
             block = _flash_block(self.model, rows, self.frame, self.params, seeds, start)
             tally.add(req, block.cells[None])
-            ((joint, self.inconclusive),) = tally.results()
-            self.counts = dict(zip(OUTCOME_CELLS, joint.tolist()))
+            ((self.joint, self.inconclusive),) = tally.results()
             yield block
 
 

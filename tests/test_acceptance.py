@@ -22,9 +22,10 @@ from flashlab.determinism import (
 )
 from flashlab.minkowski import Event, Frame, boost, interval, order_flip_rapidity
 from flashlab.models import (
+    EnsembleRequest,
     InconclusiveRunError,
     ModelId,
-    outcome_distribution,
+    ensembles,
     run_model,
 )
 from flashlab.quantum import (
@@ -42,6 +43,11 @@ LAB = Frame(0.0)
 CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 N = 100_000
+
+
+def _counts(settings, frame, master_seed):
+    """The ensembles counts (joint, n_inconclusive) of N rgrwf runs."""
+    return ensembles(ModelId.RGRWF, [EnsembleRequest((settings,), frame, N, master_seed)])[0]
 
 
 def _report(number, name, ok, detail):
@@ -69,18 +75,18 @@ def test_criterion_01_first_flash_balance():
 
 def test_criterion_02_qf_agreement():
     pair = SettingPair(0.0, math.pi / 3)
-    dist = outcome_distribution(ModelId.RGRWF, pair, LAB, n=N, master_seed=102)
+    joint, _ = _counts(pair, LAB, 102)
     expected = [0.125, 0.375, 0.375, 0.125]
-    res = chi2_gof([dist.counts[c] for c in CELLS], expected)
+    res = chi2_gof(joint.tolist(), expected)
     _report(2, "QF agreement", res.p_value >= 1e-3,
             f"chi2 = {res.statistic:.2f}, p = {res.p_value:.4f} vs (1/8, 3/8, 3/8, 1/8)")
 
 
 def test_criterion_03_frame_covariance():
     pair = SettingPair(0.0, math.pi / 3)
-    d0 = outcome_distribution(ModelId.RGRWF, pair, Frame(0.0), n=N, master_seed=103)
-    d1 = outcome_distribution(ModelId.RGRWF, pair, Frame(1.0), n=N, master_seed=104)
-    res = chi2_homogeneity([d0.counts[c] for c in CELLS], [d1.counts[c] for c in CELLS])
+    j0, _ = _counts(pair, Frame(0.0), 103)
+    j1, _ = _counts(pair, Frame(1.0), 104)
+    res = chi2_homogeneity(j0.tolist(), j1.tolist())
     _report(3, "frame covariance", res.p_value >= 1e-3,
             f"chi = 0 vs chi = 1 homogeneity p = {res.p_value:.4f}")
 
@@ -89,9 +95,8 @@ def test_criterion_04_nonlocality():
     a, a_p, b, b_p = CHSH_ANGLES
     e = {}
     for i, pair in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)]):
-        e[pair] = outcome_distribution(
-            ModelId.RGRWF, pair, LAB, n=N, master_seed=mix_seed(105, i)
-        ).correlator()
+        pp, pm, mp, mm = _counts(pair, LAB, mix_seed(105, i))[0].tolist()
+        e[pair] = (pp - pm - mp + mm) / (pp + pm + mp + mm)
     s = e[(a, b)] - e[(a, b_p)] + e[(a_p, b)] + e[(a_p, b_p)]
     _report(4, "nonlocality", abs(s) >= 2.7,
             f"|CHSH| = {abs(s):.4f} (analytic 2*sqrt(2) = {2 * math.sqrt(2):.4f})")
@@ -99,21 +104,21 @@ def test_criterion_04_nonlocality():
 
 def test_criterion_05_no_signalling():
     a, a_p, b, b_p = CHSH_ANGLES
-    base = outcome_distribution(ModelId.RGRWF, (a, b), LAB, n=N, master_seed=106)
-    b_moved = outcome_distribution(ModelId.RGRWF, (a, b_p), LAB, n=N, master_seed=107)
-    a_moved = outcome_distribution(ModelId.RGRWF, (a_p, b), LAB, n=N, master_seed=108)
+    base = _counts((a, b), LAB, 106)[0].tolist()
+    b_moved = _counts((a, b_p), LAB, 107)[0].tolist()
+    a_moved = _counts((a_p, b), LAB, 108)[0].tolist()
 
-    def marginal(dist, side):
-        f = dist.frequencies
+    def marginal(counts, side):
+        pp, pm, mp, mm = (c / sum(counts) for c in counts)
         if side == "A":
-            return (f[(1, 1)] + f[(1, -1)], f[(-1, 1)] + f[(-1, -1)])
-        return (f[(1, 1)] + f[(-1, 1)], f[(1, -1)] + f[(-1, -1)])
+            return (pp + pm, mp + mm)
+        return (pp + mp, pm + mm)
 
-    def marg_counts(dist, side):
-        c = dist.counts
+    def marg_counts(counts, side):
+        pp, pm, mp, mm = counts
         if side == "A":
-            return [c[(1, 1)] + c[(1, -1)], c[(-1, 1)] + c[(-1, -1)]]
-        return [c[(1, 1)] + c[(-1, 1)], c[(1, -1)] + c[(-1, -1)]]
+            return [pp + pm, mp + mm]
+        return [pp + mp, pm + mm]
 
     disc_a = max(
         abs(x - y) for x, y in zip(marginal(base, "A"), marginal(b_moved, "A"))
@@ -202,10 +207,8 @@ def test_criterion_09_janus_asymmetry():
         except InconclusiveRunError:
             continue
         counts[(run.outcome.alpha, run.outcome.beta)] += 1
-    dist = outcome_distribution(
-        ModelId.RGRWF, (0.0, math.pi / 3), LAB, n=N, master_seed=909
-    )
-    res = chi2_homogeneity([counts[c] for c in CELLS], [dist.counts[c] for c in CELLS])
+    joint, _ = _counts((0.0, math.pi / 3), LAB, 909)
+    res = chi2_homogeneity([counts[c] for c in CELLS], joint.tolist())
     faithful = res.p_value >= 1e-3
 
     native_witness = influence_witness_search(j, j.native_frame, 10_000, master_seed=910)

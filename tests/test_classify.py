@@ -166,11 +166,10 @@ def test_sample_and_probe_helpers_match_the_battery():
     config = ClassifyConfig(master_seed=5, n_qf=60, n_nosig=80, n_locality=100, n_eff=40)
     report = classify(model, params, config)
     pair = SettingPair(*config.qf_grid[1])
-    sample = collect_samples(model, params, pair, Frame(0.0), config.n_qf,
-                             mix_seed(report.seeds["qf_agreement"], 1))
+    joint, _ = collect_samples(model, params, pair, Frame(0.0), config.n_qf,
+                               mix_seed(report.seeds["qf_agreement"], 1))
     expected = born_joint(params.state, pair)
-    p_value = chi2_gof([sample.counts[c] for c in OUTCOME_CELLS],
-                       [expected[c] for c in OUTCOME_CELLS]).p_value
+    p_value = chi2_gof(joint.tolist(), [expected[c] for c in OUTCOME_CELLS]).p_value
     assert p_value == report.results["qf_agreement"].details["p_values"][1]
     seed = report.seeds["effective_causality"]
     probes = report.results["effective_causality"].details["probes"]

@@ -48,23 +48,20 @@ def test_run_reruns_byte_identical(tmp_path):
     assert (tmp_path / "run_rgrwf.json").read_bytes() == first
 
 
-def test_run_csv_dump(tmp_path):
-    code = run_cli(
-        "run", "--model", "rgrwf", "--a", "0", "--b", "0",
-        "--n", "50", "--seed", "3", "--out", str(tmp_path), "--csv",
-    )
-    assert code == 0
-    lines = (tmp_path / "flashes_rgrwf.csv").read_text().strip().splitlines()
+@pytest.mark.parametrize("model", ["rgrwf", "preferred_frame", "local_hv"])
+def test_run_csv_dump(tmp_path, capsys, model):
+    argv = ("run", "--model", model, "--a", "0", "--b", "0", "--n", "50", "--seed", "3")
+    assert run_cli(*argv, "--out", str(tmp_path / "csv"), "--csv") == 0
+    csv_out = capsys.readouterr().out
+    lines = (tmp_path / "csv" / f"flashes_{model}.csv").read_text().strip().splitlines()
     assert lines[0] == "run_id,region,t_lab,x_lab,t_frame,channel,index"
     assert len(lines) > 50  # several flashes per run
-    # the CSV path must count outcomes exactly like the plain path
-    payload = json.loads((tmp_path / "run_rgrwf.json").read_text())
-    run_cli(
-        "run", "--model", "rgrwf", "--a", "0", "--b", "0",
-        "--n", "50", "--seed", "3", "--out", str(tmp_path),
-    )
-    plain = json.loads((tmp_path / "run_rgrwf.json").read_text())
-    assert plain["counts"] == payload["counts"]
+    # the CSV path must count outcomes exactly like the plain path: the
+    # same run json, byte for byte, and the same stdout
+    assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
+    assert capsys.readouterr().out == csv_out
+    name = f"run_{model}.json"
+    assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_run_csv_into_new_directory(tmp_path):

@@ -22,7 +22,7 @@ from flashlab.determinism import (
     wigner_check,
 )
 from flashlab.minkowski import Frame, order_flip_rapidity
-from flashlab.models import InconclusiveRunError, ModelId, ModelParams, outcome_distribution
+from flashlab.models import EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, ensembles
 from flashlab.quantum import SettingPair
 from flashlab.randomness import BitsExhausted, random_bits
 from flashlab.stats import chi2_homogeneity
@@ -274,10 +274,10 @@ def test_janus_matches_stochastic_law(n=20_000):
         except InconclusiveRunError:
             continue
         counts[(run.outcome.alpha, run.outcome.beta)] += 1
-    dist = outcome_distribution(
-        ModelId.RGRWF, (0.0, math.pi / 3), Frame(0.0), n=n, master_seed=606
+    ((joint, _),) = ensembles(
+        ModelId.RGRWF, [EnsembleRequest(((0.0, math.pi / 3),), Frame(0.0), n, 606)]
     )
-    res = chi2_homogeneity([counts[c] for c in CELLS], [dist.counts[c] for c in CELLS])
+    res = chi2_homogeneity([counts[c] for c in CELLS], joint.tolist())
     assert res.p_value > 1e-3
 
 

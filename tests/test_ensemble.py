@@ -37,7 +37,6 @@ from flashlab.models import (
     _poisson_cdf_table,
     _poisson_inverse,
     _stack,
-    ensemble,
     ensembles,
     run_model,
     write_flash_csv,
@@ -191,7 +190,8 @@ def test_ensemble_counts_across_blocks(model):
     # scalar runs tallied one by one
     pairs = [SettingPair(0.0, 1.0), SettingPair(0.0, 2.0)]
     params = ModelParams(flash_rate=1.0)
-    joint, inconclusive = ensemble(model, pairs, Frame(0.6), params, 5000, 77)
+    ((joint, inconclusive),) = ensembles(model, [EnsembleRequest(pairs, Frame(0.6), 5000, 77)],
+                                         params)
     want = scalar_cells(model, pairs, Frame(0.6), params, mix_seeds(77, 0, 5000).tolist())
     ok = want[0] >= 0
     expected = np.zeros((4, 4), dtype=np.int64)
@@ -242,14 +242,12 @@ def test_ensembles_and_classify_reject_a_runner_callable():
     with pytest.raises(ValueError, match="is not a valid ModelId"):
         ensembles(runner, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 10, 4)])
     with pytest.raises(ValueError, match="is not a valid ModelId"):
-        ensemble(runner, [(0.0, 1.0)], Frame(0.0), None, 10, 4)
-    with pytest.raises(ValueError, match="is not a valid ModelId"):
         classify(runner)
 
 
 def test_ensembles_reject_a_request_without_arms():
     with pytest.raises(ValueError, match="at least one settings arm"):
-        ensemble(ModelId.RGRWF, [], Frame(0.0), n=5)
+        ensembles(ModelId.RGRWF, [EnsembleRequest([], Frame(0.0), 5, 0)])
     with pytest.raises(ValueError, match="at least one settings arm"):
         ensembles(ModelId.LOCAL_HV, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), 5, 1),
                                      EnsembleRequest((), Frame(0.0), 5, 1)])
@@ -284,7 +282,7 @@ def test_runner_table_binds_each_model(model, monkeypatch):
 def test_batch_matches_separate_calls(model, epsilon):
     # one and two arms, the order-flip frame among others, n = 1 and n on
     # both sides of a block boundary: every request of the stacked batch
-    # gets exactly the counts of its own ensemble call
+    # gets exactly the counts of its own ensembles call
     params = ModelParams(epsilon=epsilon)
     flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
     requests = [
@@ -299,9 +297,7 @@ def test_batch_matches_separate_calls(model, epsilon):
     batch = ensembles(model, requests, params)
     assert len(batch) == len(requests)
     for request, (joint, inconclusive) in zip(requests, batch):
-        want_joint, want_inconclusive = ensemble(
-            model, request.arms, request.frame, params, request.n, request.master_seed
-        )
+        ((want_joint, want_inconclusive),) = ensembles(model, [request], params)
         np.testing.assert_array_equal(joint, want_joint)
         assert joint.shape == (4,) * len(request.arms)
         assert inconclusive == want_inconclusive
@@ -376,7 +372,7 @@ def test_flash_blocks_match_scalar_property(model, params, chi, angles, master_s
     assert got == want
     assert np.concatenate([block.cells for block in blocks]).tolist() == cells
     assert flashes.inconclusive == cells.count(-1)
-    assert flashes.counts == {cell: cells.count(k) for k, cell in enumerate(OUTCOME_CELLS)}
+    assert flashes.joint.tolist() == [cells.count(k) for k in range(len(OUTCOME_CELLS))]
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -491,10 +487,9 @@ def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, mode
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ensemble(ModelId.RGRWF, [(0.0, 1.0)], Frame(0.0), n=-1),
     lambda: ensembles(ModelId.RGRWF, [EnsembleRequest([(0.0, 1.0)], Frame(0.0), -1, 0)]),
     lambda: FlashEnsemble(ModelId.RGRWF, (0.0, 1.0), Frame(0.0), n=-1),
-], ids=["ensemble", "ensembles", "FlashEnsemble"])
+], ids=["ensembles", "FlashEnsemble"])
 def test_negative_n_is_rejected(make):
     with pytest.raises(ValueError, match="n must be >= 0"):
         make()

@@ -13,9 +13,10 @@ from flashlab.models import (
     InconclusiveRunError,
     ModelId,
     ModelParams,
+    EnsembleRequest,
     _poisson_inverse,
+    ensembles,
     lhv_correlator,
-    outcome_distribution,
     run_model,
     write_flash_csv,
 )
@@ -25,6 +26,17 @@ from flashlab.stats import chi2_gof, chi2_homogeneity
 
 LAB = Frame(0.0)
 CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _counts(model, settings, frame, n, master_seed, params=None):
+    """The ensembles counts (joint, n_inconclusive) of one settings pair."""
+    return ensembles(model, [EnsembleRequest((settings,), frame, n, master_seed)], params)[0]
+
+
+def _correlator(joint) -> float:
+    """E(alpha beta) over the conclusive runs of a one-arm joint table."""
+    pp, pm, mp, mm = joint.tolist()
+    return (pp - pm - mp + mm) / (pp + pm + mp + mm)
 
 
 def _runs(model, settings, frame, n, master_seed, **kwargs):
@@ -82,6 +94,14 @@ def test_bit_identical_reproducibility():
             (s1.amplitudes == s2.amplitudes).all()
             for s1, s2 in zip(r1.state_trace, r2.state_trace)
         )
+
+
+def test_run_model_requires_a_seed():
+    # PCG64 seeded with None draws from the operating system's entropy,
+    # so such a run could not be replayed
+    for model in ModelId:
+        with pytest.raises(ValueError, match="needs a seed"):
+            run_model(model, (0.0, 1.0), LAB, None)
 
 
 def test_channel_persistence_within_region():
@@ -143,25 +163,25 @@ def test_preferred_frame_processes_in_lab_order():
 
 def test_rgrwf_joint_matches_born(n=30_000):
     pair = SettingPair(0.0, math.pi / 3)
-    dist = outcome_distribution(ModelId.RGRWF, pair, LAB, n=n, master_seed=101)
+    joint, _ = _counts(ModelId.RGRWF, pair, LAB, n, 101)
     expected = born_joint(singlet(), pair)
-    res = chi2_gof([dist.counts[c] for c in CELLS], [expected[c] for c in CELLS])
+    res = chi2_gof(joint.tolist(), [expected[c] for c in CELLS])
     assert res.p_value > 1e-3
 
 
 def test_preferred_frame_joint_matches_born(n=30_000):
     pair = SettingPair(0.0, math.pi / 3)
-    dist = outcome_distribution(ModelId.PREFERRED_FRAME, pair, Frame(0.7), n=n, master_seed=103)
+    joint, _ = _counts(ModelId.PREFERRED_FRAME, pair, Frame(0.7), n, 103)
     expected = born_joint(singlet(), pair)
-    res = chi2_gof([dist.counts[c] for c in CELLS], [expected[c] for c in CELLS])
+    res = chi2_gof(joint.tolist(), [expected[c] for c in CELLS])
     assert res.p_value > 1e-3
 
 
 def test_rgrwf_frame_covariance(n=25_000):
     pair = SettingPair(0.0, math.pi / 3)
-    d0 = outcome_distribution(ModelId.RGRWF, pair, Frame(0.0), n=n, master_seed=7)
-    d1 = outcome_distribution(ModelId.RGRWF, pair, Frame(1.0), n=n, master_seed=8)
-    res = chi2_homogeneity([d0.counts[c] for c in CELLS], [d1.counts[c] for c in CELLS])
+    j0, _ = _counts(ModelId.RGRWF, pair, Frame(0.0), n, 7)
+    j1, _ = _counts(ModelId.RGRWF, pair, Frame(1.0), n, 8)
+    res = chi2_homogeneity(j0.tolist(), j1.tolist())
     assert res.p_value > 1e-3
 
 
@@ -172,11 +192,9 @@ def test_rgrwf_qf_grid(n=1_500):
     for i, a in enumerate(angles):
         for k, b in enumerate(angles):
             pair = SettingPair(a, b)
-            dist = outcome_distribution(
-                ModelId.RGRWF, pair, LAB, n=n, master_seed=mix_seed(55, 10 * i + k)
-            )
+            joint, _ = _counts(ModelId.RGRWF, pair, LAB, n, mix_seed(55, 10 * i + k))
             expected = born_joint(singlet(), pair)
-            res = chi2_gof([dist.counts[c] for c in CELLS], [expected[c] for c in CELLS])
+            res = chi2_gof(joint.tolist(), [expected[c] for c in CELLS])
             p_values.append(res.p_value)
     assert min(p_values) * len(p_values) > 1e-3
 
@@ -224,27 +242,25 @@ def test_local_hv_equal_settings_anticorrelated():
 
 def test_local_hv_correlator_matches_analytic(n=30_000):
     for b in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        dist = outcome_distribution(ModelId.LOCAL_HV, (0.0, b), LAB, n=n, master_seed=87)
-        se = 2.0 / math.sqrt(dist.n_conclusive)
-        assert abs(dist.correlator() - lhv_correlator(0.0, b)) < 4 * se
+        joint, _ = _counts(ModelId.LOCAL_HV, (0.0, b), LAB, n, 87)
+        se = 2.0 / math.sqrt(joint.sum())
+        assert abs(_correlator(joint) - lhv_correlator(0.0, b)) < 4 * se
 
 
 def test_local_hv_chsh_within_local_bound(n=20_000):
     a, a_p, b, b_p = 0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4
     e = {}
     for i, (x, y) in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)]):
-        e[(x, y)] = outcome_distribution(
-            ModelId.LOCAL_HV, (x, y), LAB, n=n, master_seed=mix_seed(91, i)
-        ).correlator()
+        e[(x, y)] = _correlator(_counts(ModelId.LOCAL_HV, (x, y), LAB, n, mix_seed(91, i))[0])
     s = e[(a, b)] - e[(a, b_p)] + e[(a_p, b)] + e[(a_p, b_p)]
     assert abs(s) <= 2.0 + 0.02
 
 
-def test_outcome_distribution_reproducible():
-    d1 = outcome_distribution(ModelId.RGRWF, (0.0, 1.0), LAB, n=2000, master_seed=3)
-    d2 = outcome_distribution(ModelId.RGRWF, (0.0, 1.0), LAB, n=2000, master_seed=3)
-    assert d1.counts == d2.counts
-    assert d1.n_inconclusive == d2.n_inconclusive
+def test_ensembles_reproducible():
+    j1, dropped1 = _counts(ModelId.RGRWF, (0.0, 1.0), LAB, 2000, 3)
+    j2, dropped2 = _counts(ModelId.RGRWF, (0.0, 1.0), LAB, 2000, 3)
+    assert j1.tolist() == j2.tolist()
+    assert dropped1 == dropped2
 
 
 def test_inconclusive_runs_counted_and_carried():
@@ -253,8 +269,10 @@ def test_inconclusive_runs_counted_and_carried():
     with pytest.raises(InconclusiveRunError) as err:
         run_model(ModelId.RGRWF, (0.0, 0.0), LAB, 12, params)
     assert err.value.empty_labels
-    with pytest.raises(RuntimeError, match="all runs"):
-        outcome_distribution(ModelId.RGRWF, (0.0, 0.0), LAB, params, n=5, master_seed=1)
+    # every run is counted as inconclusive, with no outcome in any cell;
+    # `flashlab run` turns that into an error (tests/test_cli.py)
+    joint, inconclusive = _counts(ModelId.RGRWF, (0.0, 0.0), LAB, 5, 1, params)
+    assert joint.tolist() == [0, 0, 0, 0] and inconclusive == 5
 
 
 def test_epsilon_softening_allows_channel_breaks():
