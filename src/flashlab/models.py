@@ -48,7 +48,7 @@ import numpy as np
 
 from .minkowski import Event, Frame, Region, regions_spacelike
 from .quantum import BASIS, Outcome, PureState, SettingPair, singlet
-from .randomness import GeneratorSource, PCG64Streams, mix_seeds
+from .randomness import GeneratorSource, PCG64Streams, _mix_seed_rows
 
 DEFAULT_FLASH_RATE = 5.0
 DEFAULT_REGION_A = Region("A", 0.0, 1.0, -11.0, -10.0)
@@ -429,20 +429,14 @@ def _blocks(model: ModelId, requests):
     order and cut into blocks of _KERNEL_BLOCK rows: yields each block's
     first row, each row's request index, the rows' _Stack and seeds."""
     stack = _stack(model, requests)
-    ends = np.cumsum([r.n for r in requests])
+    sizes = [r.n for r in requests]
+    ends = np.cumsum(sizes)
+    begins = ends - sizes  # the runs of request r are rows begins[r] .. ends[r] - 1
+    masters = np.array([r.master_seed % (1 << 64) for r in requests], dtype=np.uint64)
     for start in range(0, int(ends[-1]), _KERNEL_BLOCK):
-        stop = min(int(ends[-1]), start + _KERNEL_BLOCK)
-        req, seeds = [], []
-        r = int(np.searchsorted(ends, start, side="right"))
-        # the runs of request r are rows ends[r] - n_r .. ends[r] - 1
-        while r < len(requests) and int(ends[r]) - requests[r].n < stop:
-            begin = int(ends[r]) - requests[r].n
-            lo, hi = max(start, begin) - begin, min(stop, int(ends[r])) - begin
-            req.append(np.full(hi - lo, r, dtype=np.intp))
-            seeds.append(mix_seeds(requests[r].master_seed, lo, hi))
-            r += 1
-        req = np.concatenate(req)
-        yield start, req, stack.take(req), np.concatenate(seeds)
+        rows = np.arange(start, min(int(ends[-1]), start + _KERNEL_BLOCK))
+        req = np.searchsorted(ends, rows, side="right")
+        yield start, req, stack.take(req), _mix_seed_rows(masters[req], rows - begins[req])
 
 
 class _Tally:
@@ -479,19 +473,28 @@ class _Tally:
 # A segment the run's outcome does not read is skipped: the cursor jumps
 # over it and the next segment gets the uniforms the scalar run gets.  For
 # outcome counts, positions are skipped wherever the processing frame's
-# sinh is 0, where a flash's frame time t * cosh - x * 0.0 does not depend
-# on x, and local_hv, whose channels read no flash, skips both patterns.
-# The flash path reads every segment.
+# sinh is 0, where a flash's frame time t * cosh - x * 0.0 is t * cosh,
+# and local_hv, whose channels read no flash, skips both patterns; a block
+# where no run reads positions builds none.  The flash path reads every
+# segment.  The A positions a run reads and its count of B come from one
+# draw, as they are adjacent in its stream.
 #
 # A block's rows may belong to different requests: each row carries its
 # own seed, settings and processing rapidity (a _Stack taken per row).
 # _Patterns holds the flash patterns, and _decide is the one decision
 # stage over them.  For outcome counts (_kernel_block) it stops a run's
 # collapse once both regions have drawn their first channel, since later
-# draws cannot change the outcome; for flashes (_flash_block, a layout of
-# its decisions) it collapses every flash.  The collapse uses the same
-# real operations in the same order as the scalar complex arithmetic, so
-# every probability compared against a uniform is the same double.
+# draws cannot change the outcome, and it orders no flashes: the flashes
+# before that point are the earlier region's, then the other's first, so
+# each region's earliest flash and a count locate it.  For flashes
+# (_flash_block, a layout of its decisions) it sorts and collapses every
+# flash.  One _collapse call decides every arm of a block: a run's arms
+# are adjacent rows that share its uniforms, and the rows still
+# collapsing at a step are a prefix, so a step makes the same numpy calls
+# whatever the number of arms; no row is updated after its last decision.
+# The collapse uses the same real operations in the same order as the
+# scalar complex arithmetic, so every probability compared against a
+# uniform is the same double.
 
 # Rows (runs) per kernel block, on the counts and the flash path.  Peak
 # memory grows with it: a benchmark-size classify battery (7,750 runs per
@@ -508,40 +511,52 @@ class _Patterns:
     ``n_a`` and ``n_b`` hold the flash counts.  ``t`` and ``x`` hold the
     lab coordinates of each run's flashes in ``shape[1]`` columns: A
     0..nA-1, padding, then from column ``width_a`` B 0..nB-1, padding.
-    Times are sorted within a region, so the column is the index, and are
-    inf on padding, so padding sorts last in every frame.  Without
+    Where any run reads positions, times are sorted within a region, so
+    the column is the index, as positions come in time order; else they
+    are in draw order.  Times are inf on padding, so padding sorts last
+    in every frame.  Without
     ``times`` both patterns are skipped and ``t`` and ``x`` are None; a
     run whose ``positions`` entry is False skips its positions, and its
-    ``x`` holds the region's x_min.
+    ``x`` holds the region's x_min, or ``x`` is None if no run reads them.
     """
 
     def __init__(self, params: ModelParams, seeds: np.ndarray, times=True, positions=True):
         self.params = params
         self._streams = streams = PCG64Streams(seeds)
-        one = np.ones(seeds.size, dtype=np.intp)
+        rows = np.arange(seeds.size)
+        read_any = times and bool(np.any(positions))
+        u = streams.draw(np.ones(seeds.size, dtype=np.intp))[:, 0]
         counts, ts, xs = [], [], []
-        for region in params.regions:
+        for region, next_count in zip(params.regions, (1, 0)):  # B's count follows A
             table = _poisson_cdf_table(params.flash_rate * (region.t_max - region.t_min))
-            n = np.searchsorted(table, streams.draw(one)[:, 0], side="right")
+            n = np.searchsorted(table, u, side="right")
             counts.append(n)
-            if not times:
+            if times:
+                t = _scaled(streams.draw(n), region.t_min, region.t_max)
+                t[np.arange(t.shape[1]) >= n[:, None]] = np.inf
+                if read_any:  # a run's positions come in its times' order
+                    t.sort(axis=1)
+                ts.append(t)
+                read = np.where(positions, n, 0)
+                streams.skip(n - read)
+            else:
+                read = np.zeros_like(n)
                 streams.skip(2 * n)
-                continue
-            t = _scaled(streams.draw(n), region.t_min, region.t_max)
-            t[np.arange(t.shape[1]) >= n[:, None]] = np.inf
-            t.sort(axis=1)
-            read = np.where(positions, n, 0)
-            streams.skip(n - read)
-            x = np.zeros_like(t)
-            drawn = streams.draw(read)
-            x[:, : drawn.shape[1]] = drawn
-            ts.append(t)
-            xs.append(_scaled(x, region.x_min, region.x_max))
+            # the positions read, then the next region's count, in one draw
+            drawn = streams.draw(read + next_count)
+            if next_count:
+                u = drawn[rows, read]
+                drawn[rows, read] = 0.0  # a count, not a position
+            if read_any:
+                x = np.zeros_like(t)
+                x[:, : drawn.shape[1]] = drawn[:, : x.shape[1]]
+                xs.append(_scaled(x, region.x_min, region.x_max))
         self.n_a, self.n_b = counts
         self.conclusive = (self.n_a > 0) & (self.n_b > 0)
         self.width_a = int(self.n_a.max())
         self.shape = (seeds.size, self.width_a + int(self.n_b.max()))
-        self.t, self.x = (np.hstack(parts) if times else None for parts in (ts, xs))
+        self.t = np.hstack(ts) if times else None
+        self.x = np.hstack(xs) if read_any else None
 
     def hidden_variables(self) -> tuple[np.ndarray, np.ndarray]:
         """local_hv's (lambda, mechanism bit) of each run."""
@@ -557,27 +572,45 @@ class _Patterns:
         in_a = order < self.width_a
         return order, in_a, np.argmax(in_a, axis=1), np.argmax(~in_a, axis=1)
 
-    def decisions(self, arms, side_a, steps):
-        """Per arm, the channel decisions (True for +1) of each run's first
-        steps[run] flashes in processing order, shape (runs, max steps).
-        An arm is the cos and sin of each run's half setting angles, each
-        of shape (2 sides, runs); ``side_a`` marks the A flashes in that
-        order."""
+    def first_flashes(self, keys):
+        """processing_order's positions of each run's first A and first
+        B flash, without ordering its flashes: the region with the
+        earliest flash comes first, and the other's first flash follows
+        that region's flashes before it.  A tie goes to the A flash, as
+        A's columns come first in the stable sort."""
+        keys = keys.T.copy()  # flashes by runs: reductions over runs' short rows are slow
+        key_a, key_b = keys[: self.width_a], keys[self.width_a :]
+        min_a, min_b = key_a.min(axis=0), key_b.min(axis=0)
+        a_first = min_a <= min_b
+        first_b = np.where(a_first, (key_a <= min_b).sum(axis=0), 0)
+        first_a = np.where(a_first, 0, (key_b < min_a).sum(axis=0))
+        return first_a, first_b
+
+    def decisions(self, cos, sin, side_a, steps):
+        """The channel decisions (True for +1) of each run's first
+        steps[run] flashes in processing order, under each settings arm,
+        shape (arms, runs, max steps).  ``cos`` and ``sin`` hold the cos
+        and sin of each run's half setting angles, (arms, 2 sides, runs);
+        ``side_a`` marks the A flashes in that order."""
         draws = self._streams.draw(steps)
-        # runs sorted by steps, longest first, so that the runs still
-        # collapsing at step k are a prefix of the rows
+        # runs sorted by steps, longest first, and each run's arms in
+        # adjacent rows, so that the rows still collapsing at step k are
+        # a prefix
         by_steps = np.argsort(-steps, kind="stable")
-        steps = steps[by_steps]
-        width = int(steps[0])
-        draws = draws[by_steps]
-        live = [int(np.count_nonzero(steps > k)) for k in range(width)]
-        side_a = side_a[by_steps, :width]
-        for cos, sin in arms:
-            plus = np.empty_like(draws, dtype=bool)
-            plus[by_steps] = _collapse(
-                self.params, cos[:, by_steps], sin[:, by_steps], side_a, draws, live
-            )
-            yield plus
+        width = int(steps[by_steps[0]])
+        arms = cos.shape[0]
+        runs_live = steps.size - np.cumsum(np.bincount(steps, minlength=width))[:width]
+        trig = np.stack([cos, sin], axis=-2)[..., by_steps]  # (arms, sides, cos/sin, runs)
+        plus = _collapse(
+            self.params,
+            np.moveaxis(trig, 0, -1).reshape(2, 2, -1),
+            np.repeat(side_a.T[:width, by_steps], arms, axis=1),
+            draws.T[:, by_steps],
+            (arms * runs_live).tolist(),
+        )
+        decided = np.empty((arms, steps.size, width), dtype=bool)
+        decided[:, by_steps] = plus.reshape(width, -1, arms).T
+        return decided
 
 
 def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -591,9 +624,11 @@ def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
 def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
     """Frame time t cosh(chi) - x sinh(chi) of each flash, as boost_time
     computes it, from math.cosh and math.sinh of the rapidity (a scalar
-    or a column per run); inf on padding, as cosh and sinh are finite."""
+    or a column per run); inf on padding, as cosh and sinh are finite.
+    Without ``x`` every sinh is 0, and t cosh - x 0 is t cosh."""
     keys = t * cosh
-    keys -= x * sinh
+    if x is not None:
+        keys -= x * sinh
     return keys
 
 
@@ -621,7 +656,7 @@ class _Stack(NamedTuple):
     sinh: np.ndarray
 
     def take(self, req: np.ndarray) -> "_Stack":
-        return _Stack(*(values[..., req] for values in self))
+        return _Stack(*(np.take(values, req, axis=-1) for values in self))
 
 
 def _stack(model: ModelId, requests) -> _Stack:
@@ -676,16 +711,21 @@ def _decide(block: _Patterns, model: ModelId, rows: _Stack, every_flash=False):
             plus[runs, block.width_a :] = plus_b[:, None]
         return cells, plus
 
-    order, in_a, first_a, first_b = block.processing_order(
-        _frame_times(block.t, block.x, rows.cosh[:, None], rows.sinh[:, None])
-    )
-    steps = block.n_a + block.n_b if every_flash else np.maximum(first_a, first_b) + 1
-    steps = np.where(conclusive, steps, 0)
-    first_a, first_b = first_a[runs], first_b[runs]
-    for arm, decided in enumerate(block.decisions(zip(rows.cos, rows.sin), in_a, steps)):
-        cells[arm, runs] = _cell(decided[runs, first_a], decided[runs, first_b])
+    keys = _frame_times(block.t, block.x, rows.cosh[:, None], rows.sinh[:, None])
     if every_flash:
-        np.put_along_axis(plus, order[:, : decided.shape[1]], decided, axis=1)
+        order, in_a, first_a, first_b = block.processing_order(keys)
+        steps = np.where(conclusive, block.n_a + block.n_b, 0)
+    else:
+        first_a, first_b = block.first_flashes(keys)
+        steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
+        # the flashes before both firsts are the earlier region's, then
+        # the other region's first
+        step = np.arange(int(steps.max()))
+        in_a = np.where((first_a == 0)[:, None], step < first_b[:, None], step == first_a[:, None])
+    decided = block.decisions(rows.cos, rows.sin, in_a, steps)
+    cells[:, runs] = _cell(decided[:, runs, first_a[runs]], decided[:, runs, first_b[runs]])
+    if every_flash:
+        np.put_along_axis(plus, order[:, : decided.shape[2]], decided[0], axis=1)
     return cells, plus
 
 
@@ -788,46 +828,66 @@ def _lhv_plus(theta: np.ndarray, lam: np.ndarray, mech: np.ndarray) -> np.ndarra
     return value >= 0.0
 
 
-def _collapse(params, cos, sin, side_a, draws, live) -> np.ndarray:
-    """Channel decisions (True for +1) of the first len(live) processed
-    flashes of each run; rows are sorted so step k touches rows [:live[k]].
-    ``cos`` and ``sin`` hold each row's half setting angles, (2 sides, runs).
+# The rows of a state's cells 01 and 10 (re, im) in the other orientation.
+_SWAPPED = np.array([4, 5, 2, 3])
 
-    The 2x2 amplitude matrix is held as m[i, j, re/im, run]: a side-A
-    flash contracts rows (f_j = c m[0, j] + s m[1, j]), a side-B flash
-    columns (f_i = m[i, 0] c + m[i, 1] s), and the collapsed matrix is
-    v_i g_j on side A and g_i v_j on side B.
+
+def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
+    """Channel decisions (True for +1) of the first len(live) processed
+    flashes of each row, shape (steps, rows); rows are sorted so that
+    step k touches rows [:live[k]].  Rows are (run, arm) pairs, a run's
+    arms in adjacent rows: ``side_a`` holds each row's side per step,
+    (steps, rows), and ``draws`` each run's uniform per step, (steps,
+    runs), shared by its arms.  ``trig`` holds per side the row's c and s,
+    the cos and sin of half its setting angle, (2 sides, 2, rows).
+
+    The 2x2 amplitude matrix is held as m[cell re/im, row] in the
+    orientation of the side that last collapsed it: cells 00, 01, 10, 11
+    after a side-A step and its transpose, 00, 10, 01, 11, after a side-B
+    step.  A step contracts m[:4] with m[4:]: f = c m[:4] + s m[4:] is
+    (c m00 + s m10, c m01 + s m11) on side A and (m00 c + m01 s, m10 c +
+    m11 s) on side B, and the collapsed matrix (v_i g_j on A, g_i v_j on
+    B) is v_i g_j in the orientation of its side.  So only cells 01 and 10
+    change places: where a row's side is not the last step's, and in the
+    norm, which sums p00, p01, p10, p11 as _simulate_run does.  A row's
+    state is not updated after its last decision.
     """
-    amps = np.asarray(params.state.amplitudes, dtype=complex).reshape(2, 2)
-    m = np.empty((2, 2, 2, draws.shape[0]))
-    m[:, :, 0] = amps.real[..., None]
-    m[:, :, 1] = amps.imag[..., None]
+    arms = side_a.shape[1] // draws.shape[1]
+    amps = np.asarray(params.state.amplitudes, dtype=complex)
+    m = np.repeat(np.stack([amps.real, amps.imag], axis=1).reshape(8, 1), live[0], axis=1)
+    turn = np.empty_like(side_a)  # the side is not the last step's (A before step 0)
+    turn[0] = ~side_a[0]
+    np.not_equal(side_a[1:], side_a[:-1], out=turn[1:])
     eps = params.epsilon
-    plus = np.zeros(draws.shape, dtype=bool)
+    plus = np.zeros(side_a.shape, dtype=bool)
     for k, n_live in enumerate(live):
-        mk = m[..., :n_live]
-        is_a = side_a[:n_live, k]
-        c = np.where(is_a, cos[0, :n_live], cos[1, :n_live])
-        s = np.where(is_a, sin[0, :n_live], sin[1, :n_live])
-        first = np.where(is_a, mk[0], mk[:, 0])
-        second = np.where(is_a, mk[1], mk[:, 1])
-        f = c * first + s * second
+        is_a = side_a[k, :n_live]
+        m[2:6] = np.where(turn[k, :n_live], m[_SWAPPED], m[2:6])
+        c = np.where(is_a, trig[0, 0, :n_live], trig[1, 0, :n_live])
+        s = np.where(is_a, trig[0, 1, :n_live], trig[1, 1, :n_live])
+        f = c * m[:4] + s * m[4:]
         sq = f * f
-        p_plus = (sq[0, 0] + sq[0, 1]) + (sq[1, 0] + sq[1, 1])
-        up = draws[:n_live, k] < p_plus
-        plus[:n_live, k] = up
-        v0 = np.where(up, c, -s)
-        v1 = np.where(up, s, c)
-        g = v0 * first + v1 * second
-        outer = np.stack([v0 * g, v1 * g])  # v_i g_j
-        p = np.where(is_a, outer, outer.swapaxes(0, 1))
+        sq = sq[0::2] + sq[1::2]
+        u = draws[k, : n_live // arms]
+        up = np.less(u if arms == 1 else np.repeat(u, arms), sq[0] + sq[1], out=plus[k, :n_live])
+        n_next = live[k + 1] if k + 1 < len(live) else 0
+        if n_next == 0:
+            break
+        m = m[:, :n_next]
+        up, c, s = up[:n_next], c[:n_next], s[:n_next]
+        v0, v1 = np.where(up, c, -s), np.where(up, s, c)
+        g = v0 * m[:4] + v1 * m[4:]
+        p = np.empty_like(m)
+        np.multiply(v0, g, out=p[:4])
+        np.multiply(v1, g, out=p[4:])
         if eps:
-            p += eps * (mk - p)
-        sq = (p * p).reshape(8, n_live)
-        total = sq[0]
-        for term in sq[1:]:
+            p += eps * (m - p)
+        sq = p * p
+        mid = np.where(is_a[:n_next], sq[2:6], sq[_SWAPPED])
+        total = sq[0] + sq[1]
+        for term in (*mid, sq[6], sq[7]):
             total = total + term
-        mk[...] = p / np.sqrt(total)
+        m = p / np.sqrt(total)
     return plus
 
 

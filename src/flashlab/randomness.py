@@ -148,69 +148,109 @@ _TO_DOUBLE = 1.0 / (1 << 53)
 
 def mix_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """``[mix_seed(master_seed, i) for i in range(start, stop)]`` as uint64."""
-    z = np.arange(start + 1, stop + 1, dtype=_U64) * _U64(_GOLDEN) + _U64(master_seed & _MASK64)
+    return _mix_seed_rows(np.array(master_seed & _MASK64, dtype=_U64), np.arange(start, stop))
+
+
+def _mix_seed_rows(master_seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``mix_seed(master_seeds[i], indices[i])`` for each i, as uint64;
+    ``master_seeds`` holds the master seeds mod 2^64 as uint64."""
+    z = (indices.astype(_U64) + _U64(1)) * _U64(_GOLDEN) + master_seeds
     z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
     return z ^ (z >> _U64(31))
 
 
-def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence(seed).generate_state(4, uint64) for each 64-bit seed.
+def _hash_columns(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``count`` SeedSequence hash calls in a row, as
+    (count, 1) uint32 columns: call j xors its value with h_j and then
+    multiplies it by h_(j+1), where h_0 = init and h_(j+1) = h_j * mult."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & 0xFFFFFFFF)
+    column = np.array(consts, dtype=_U32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hash(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` with its row of the
+    _hash_columns constants."""
+    values = values ^ columns[0]
+    values *= columns[1]
+    values ^= values >> _U32(16)
+    return values
+
+
+# SeedSequence (pool size 4) hashes with one running constant: 4 entropy
+# calls, then 3 pool calls per source word, 16 in all; its output calls
+# run a second constant, 8 for four uint64 words.
+_POOL_HASH = _hash_columns(_SS_INIT_A, _SS_MULT_A, 16)
+_OUT_HASH = _hash_columns(_SS_INIT_B, _SS_MULT_B, 8)
+# per source word of the pool mixing: the other words, which it mixes into
+_POOL_DST = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) for each 64-bit seed,
+    as a (4, seeds) array.
 
     A seed below 2^32 is one entropy word and a larger one two; padding
     with a zero word gives the same pool, so every seed is mixed as two.
+    The pool is one (4, seeds) uint32 array, and each stage of
+    SeedSequence is one stacked hash over its rows: the entropy words,
+    then for each source word the three words it mixes into (which do not
+    read each other), then the eight output words.  Each stage hashes with
+    the constants its calls have in numpy's sequence, so every word is
+    the one numpy's loop computes.
     """
-    hash_const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ _U32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & 0xFFFFFFFF
-        value = value * _U32(hash_const)
-        return value ^ (value >> _U32(16))
-
-    def mix(x, y):
-        result = _SS_MIX_L * x - _SS_MIX_R * y
-        return result ^ (result >> _U32(16))
-
-    zero = np.zeros(seeds.shape, dtype=_U32)
-    entropy = ((seeds & _M32).astype(_U32), (seeds >> _U64(32)).astype(_U32), zero, zero)
-    pool = [hashmix(word) for word in entropy]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-
-    hash_const = _SS_INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ _U32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & 0xFFFFFFFF
-        value = value * _U32(hash_const)
-        state.append((value ^ (value >> _U32(16))).astype(_U64))
+    pool = np.zeros((4, seeds.size), dtype=_U32)
+    pool[0] = seeds & _M32
+    pool[1] = seeds >> _U64(32)
+    pool = _hash(pool, tuple(c[:4] for c in _POOL_HASH))
+    for src, dst in enumerate(_POOL_DST):
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        # SeedSequence's mix(x, y), with y the source word hashed
+        mixed = pool[dst]
+        mixed *= _SS_MIX_L
+        mixed -= _SS_MIX_R * _hash(pool[src], tuple(c[calls] for c in _POOL_HASH))
+        mixed ^= mixed >> _U32(16)
+        pool[dst] = mixed
+    state = _hash(np.vstack([pool, pool]), _OUT_HASH).astype(_U64)
     # uint32 words little-endian into uint64 words
-    return [state[2 * i] | (state[2 * i + 1] << _U64(32)) for i in range(4)]
+    return state[0::2] | (state[1::2] << _U64(32))
 
 
 def _mulhi64(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product a * b, on 32-bit limbs b = b1 b0."""
     a0, a1 = a & _M32, a >> _U64(32)
     # no sum below can carry out of 64 bits
-    low = a1 * b0 + ((a0 * b0) >> _U64(32))
-    mid = a0 * b1 + (low & _M32)
-    return a1 * b1 + (low >> _U64(32)) + (mid >> _U64(32))
+    low = a0 * b0
+    low >>= _U64(32)
+    low += a1 * b0
+    mid = a0 * b1
+    mid += low & _M32
+    mid >>= _U64(32)
+    low >>= _U64(32)
+    high = a1 * b1
+    high += low
+    high += mid
+    return high
 
 
 def _mul128(hi, lo, factor) -> tuple[np.ndarray, np.ndarray]:
     """Low 128 bits of (hi, lo) * factor, as (hi, lo)."""
     f_hi, f_lo, f_lo0, f_lo1 = factor
-    return _mulhi64(lo, f_lo0, f_lo1) + lo * f_hi + hi * f_lo, lo * f_lo
+    high = _mulhi64(lo, f_lo0, f_lo1)
+    high += lo * f_hi
+    high += hi * f_lo
+    return high, lo * f_lo
 
 
 def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
     """(a + b) mod 2^128 of two (hi, lo) pairs."""
     lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+    hi = a[0] + b[0]
+    hi += lo < b[1]
+    return hi, lo
 
 
 def _words128(values) -> tuple:
@@ -224,11 +264,13 @@ def _words128(values) -> tuple:
 # over the streams that still need values: value j of a batch comes from
 # the state mult_j * s + incr_j * inc, with mult_j and incr_j from
 # _jump_table, so a batch needs no step-by-step recurrence.  incr_j * inc
-# does not depend on the state, so each stream computes it once, for
-# j = 1.._batch.  The width is at most _JUMP and keeps a batch within
-# _JUMP_CELLS values, which stay in cache: few streams get wide batches,
-# thousands of streams narrow ones.  A row's last batch may compute a few
-# values past its length; its cursor still stops at the length.
+# does not depend on the state, so each stream computes it once, for j up
+# to the widest batch a draw has needed so far (local_hv's patterns never
+# draw more than 2 values).  The width is at most _JUMP and keeps a batch
+# within _JUMP_CELLS values, which stay in cache: few streams get wide
+# batches, thousands of streams narrow ones.  A row's last batch may
+# compute a few values past its length; its cursor still stops at the
+# length.
 _JUMP = 64
 _JUMP_CELLS = 1 << 14
 
@@ -268,18 +310,20 @@ class PCG64Streams:
             (seq_lo << _U64(1)) | _U64(1),
         )
         self._batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, seeds.size)))
-        # mult_j and incr_j for j = 1..batch, as columns
-        self._mults, incrs = (
-            tuple(w[1 : self._batch + 1, None] for w in words) for words in _jump_table(_JUMP + 1)
-        )
-        # incr_j * inc of each stream, (batch, streams): every draw reuses it
-        self._incs = _mul128(*inc, incrs)
+        # mult_j for j = 1..batch, as columns
+        self._mults = tuple(w[1 : self._batch + 1, None] for w in _jump_table(_JUMP + 1)[0])
+        # incr_j * inc of each stream for j = 1..width, (width, streams);
+        # _states widens it as draws need
+        self._incs = (np.empty((0, seeds.size), dtype=_U64),) * 2
         state = _add128(inc, (state_hi, state_lo))
         self._hi, self._lo = _add128(_mul128(*state, tuple(w[0] for w in self._mults)), inc)
 
     def _states(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The states of streams ``rows`` after 1..k <= batch steps from
         their cursors, as (k, rows) arrays; moves no cursor."""
+        if k > self._incs[0].shape[0]:
+            incrs = tuple(w[1 : k + 1, None] for w in _jump_table(_JUMP + 1)[1])
+            self._incs = _mul128(*self._inc, incrs)
         return _add128(
             _mul128(self._hi[rows], self._lo[rows], tuple(w[:k] for w in self._mults)),
             (self._incs[0][:k, rows], self._incs[1][:k, rows]),
@@ -292,14 +336,19 @@ class PCG64Streams:
         lengths = np.asarray(lengths, dtype=np.intp)
         out = np.zeros((lengths.size, int(lengths.max(initial=0))))
         for start in range(0, out.shape[1], self._batch):
-            rows = np.flatnonzero(lengths > start)
-            if rows.size == lengths.size:  # every stream: views, not copies
-                rows = slice(None)
+            # the first batch takes every stream, as views rather than
+            # copies; a stream that needs none is left where it is
+            rows = np.flatnonzero(lengths > start) if start else slice(None)
             k = min(self._batch, out.shape[1] - start)
             hi, lo = self._states(rows, k)
             out[rows, start : start + k] = _next_double(hi, lo).T
-            last = (np.minimum(lengths[rows] - start, k) - 1, np.arange(hi.shape[1]))
-            self._hi[rows], self._lo[rows] = hi[last], lo[last]
+            taken = np.minimum(lengths[rows] - start, k)
+            last = (taken - 1, np.arange(hi.shape[1]))
+            if start:
+                self._hi[rows], self._lo[rows] = hi[last], lo[last]
+            else:
+                self._hi = np.where(taken > 0, hi[last], self._hi)
+                self._lo = np.where(taken > 0, lo[last], self._lo)
         return out
 
     def skip(self, lengths) -> None:
@@ -327,5 +376,12 @@ def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     next_double."""
     x = hi ^ lo
     rot = hi >> _U64(58)
-    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-    return (x >> _U64(11)).astype(np.float64) * _TO_DOUBLE
+    high = x >> rot
+    np.subtract(_U64(64), rot, out=rot)
+    rot &= _U64(63)
+    x <<= rot
+    x |= high
+    x >>= _U64(11)
+    out = x.astype(np.float64)
+    out *= _TO_DOUBLE
+    return out

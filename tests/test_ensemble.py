@@ -42,7 +42,13 @@ from flashlab.models import (
     write_flash_csv,
 )
 from flashlab.quantum import PureState, SettingPair
-from flashlab.randomness import PCG64Streams, mix_seed, mix_seeds
+from flashlab.randomness import (
+    PCG64Streams,
+    _mix_seed_rows,
+    _seed_sequence_words,
+    mix_seed,
+    mix_seeds,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 
@@ -82,6 +88,16 @@ def test_mix_seeds_match_scalar():
     for master in (0, 1, 7, -3, 2**64 - 1, 2**70 + 5):
         assert mix_seeds(master, 0, 300).tolist() == [mix_seed(master, i) for i in range(300)]
     assert mix_seeds(9, 4090, 4100).tolist() == [mix_seed(9, i) for i in range(4090, 4100)]
+
+
+def test_mix_seed_rows_match_scalar():
+    # one master seed per row, as a kernel block mixes requests; masters
+    # are taken mod 2^64 as mix_seed takes them
+    masters = [0, 1, 7, -3, 2**64 - 1, 2**70 + 5]
+    rows = [(m, i) for m in masters for i in (0, 1, 4095, 10**6)]
+    got = _mix_seed_rows(np.array([m % 2**64 for m, _ in rows], dtype=np.uint64),
+                         np.array([i for _, i in rows]))
+    assert got.tolist() == [mix_seed(m, i) for m, i in rows]
 
 
 def test_pcg64_streams_match_numpy():
@@ -131,6 +147,19 @@ def test_pcg64_cursor_draws_and_skips_match_numpy():
         steps.append(("skip", rng.integers(0, 1500, 1000).tolist()))
     steps.append(("draw", rng.integers(0, 3, 1000).tolist()))
     check([mix_seed(77, i) for i in range(1000)], steps)
+
+
+def test_seed_sequence_words_match_numpy():
+    # the stacked hashing against numpy's SeedSequence loop: the edge
+    # seeds, seeds below 2^32 (one entropy word, where numpy hashes zeros
+    # into the rest of the pool) and 10,000 derived run seeds
+    below = [0, 1, 2, 12345, 2**31, 2**32 - 2]
+    below += np.random.default_rng(8).integers(0, 2**32, 1000).tolist()
+    seeds = EDGE_SEEDS + below + [mix_seed(2024, i) for i in range(10_000)]
+    got = _seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    want = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want.T)
 
 
 def _poisson_loop(u: float, mean: float) -> int:
@@ -233,6 +262,30 @@ def test_kernel_matches_scalar_with_long_skips(model, chi):
     # positions per region and a local_hv run about 1,200 uniforms
     assert_run_for_run(model, [(0.4, 1.3), (0.4, 2.9)], Frame(chi),
                        ModelParams(flash_rate=600.0), 30, 19)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("chi", [0.0, 0.8, "flip"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_stacked_arms_match_one_arm_blocks(model, chi, epsilon):
+    # a block collapses all its arms in one call, a run's arms in adjacent
+    # rows; each arm must get the cells its own one-arm block gives it, on
+    # the same seeds.  The arms differ in both settings.
+    params = ModelParams(epsilon=epsilon)
+    flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
+    frame = flip if chi == "flip" else Frame(chi)
+    arms = [SettingPair(0.4, 1.3), SettingPair(2.0, 2.9)]
+    seeds = mix_seeds(29, 0, _KERNEL_BLOCK)
+
+    def cells(pairs):
+        request = EnsembleRequest(pairs, frame, seeds.size, 29)
+        rows = _stack(model, [request]).take(np.zeros(seeds.size, dtype=np.intp))
+        return _kernel_block(model, rows, params, seeds)
+
+    stacked = cells(arms)
+    assert stacked.shape == (2, seeds.size)
+    for arm, pair in enumerate(arms):
+        np.testing.assert_array_equal(stacked[arm], cells([pair])[0])
 
 
 def test_ensembles_and_classify_reject_a_runner_callable():
