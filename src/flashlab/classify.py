@@ -350,17 +350,9 @@ def paired_flip_fraction(
     return _flip_probe(frame, earlier, counts)
 
 
-def _flip_plan(
-    params: ModelParams,
-    frames_probe,
-    n: int,
-    master_seed: int,
-    first_index: int,
-    verdict: Callable[[list[dict]], TestResult],
-) -> _Plan:
-    """A paired flip probe in each probe frame that orders the region
-    boxes, probe k seeded with mix_seed(master_seed, first_index + k);
-    ``verdict`` reads the probes' dicts.
+def _flip_probes(params: ModelParams, frames_probe) -> list[tuple[Frame, str, tuple]]:
+    """The probe frames that order the region boxes, each with its
+    frame-earlier region and its two flip arms (quantum.flip_arms).
 
     Frames that leave the boxes overlapping in frame time identify no
     earlier region and are skipped; the rest must order them both ways.
@@ -374,12 +366,25 @@ def _flip_plan(
             "frames_probe must order the regions both ways; "
             f"got earlier-region set {sorted(have)}"
         )
+    return [(frame, earlier, flip_arms(earlier)) for frame, earlier in ordered]
+
+
+def _flip_plan(
+    probes,
+    n: int,
+    master_seed: int,
+    first_index: int,
+    verdict: Callable[[list[dict]], TestResult],
+) -> _Plan:
+    """A paired flip probe for each of _flip_probes' ``probes``, probe k
+    seeded with mix_seed(master_seed, first_index + k); ``verdict`` reads
+    the probes' dicts."""
     requests = [
-        EnsembleRequest(flip_arms(earlier), frame, n, mix_seed(master_seed, first_index + k))
-        for k, (frame, earlier) in enumerate(ordered)
+        EnsembleRequest(arms, frame, n, mix_seed(master_seed, first_index + k))
+        for k, (frame, _, arms) in enumerate(probes)
     ]
     return _Plan(requests, lambda counts: verdict([
-        _flip_probe(frame, earlier, c) for (frame, earlier), c in zip(ordered, counts)
+        _flip_probe(frame, earlier, c) for (frame, earlier, _), c in zip(probes, counts)
     ]))
 
 
@@ -417,7 +422,8 @@ def test_effective_locality(
     direction's best flip fraction, threshold = 0; pass iff statistic = 0
     for both directions.
     """
-    plan = _flip_plan(params, frames_probe, n, master_seed, 0, _effective_locality_verdict)
+    probes = _flip_probes(params, frames_probe)
+    plan = _flip_plan(probes, n, master_seed, 0, _effective_locality_verdict)
     return _run(model, params, plan)
 
 
@@ -436,7 +442,8 @@ def test_effective_causality(
     conclusive pair are skipped), threshold = 0; pass iff zero flips
     everywhere.
     """
-    plan = _flip_plan(params, frames_probe, n, master_seed, 1000, _effective_causality_verdict)
+    probes = _flip_probes(params, frames_probe)
+    plan = _flip_plan(probes, n, master_seed, 1000, _effective_causality_verdict)
     return _run(model, params, plan)
 
 
@@ -457,18 +464,17 @@ def classify(
     frames = config.frames_probe
     if frames is None:
         frames = default_frames_probe(params)
+    probes = _flip_probes(params, frames)  # both flip tests probe the same frames
     seeds = {name: mix_seed(config.master_seed, 101 + i) for i, name in enumerate(TEST_NAMES)}
     plans = {
         "qf_agreement": _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
         "no_signalling": _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
         "locality": _locality_plan(config.n_locality, seeds["locality"]),
         "effective_locality": _flip_plan(
-            params, frames, config.n_eff, seeds["effective_locality"], 0,
-            _effective_locality_verdict,
+            probes, config.n_eff, seeds["effective_locality"], 0, _effective_locality_verdict
         ),
         "effective_causality": _flip_plan(
-            params, frames, config.n_eff, seeds["effective_causality"], 1000,
-            _effective_causality_verdict,
+            probes, config.n_eff, seeds["effective_causality"], 1000, _effective_causality_verdict
         ),
     }
     counts = iter(ensembles(model, [r for p in plans.values() for r in p.requests], params))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -541,9 +542,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call, not at import,
+    and reused by every later call: parse_args keeps its results in the
+    namespace it returns, not in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_flag_values(argv))
+    args = _parser().parse_args(_join_flag_values(argv))
     if args.command == "report":
         return cmd_report(args.path)
     try:

@@ -494,7 +494,10 @@ class _Tally:
 # whatever the number of arms; no row is updated after its last decision.
 # The collapse uses the same real operations in the same order as the
 # scalar complex arithmetic, so every probability compared against a
-# uniform is the same double.
+# uniform is the same double.  It holds the amplitudes as planes: real
+# parts only for a state with no nonzero imaginary part, whose imaginary
+# parts the scalar arithmetic keeps at +-0 and adds only as +0 squares;
+# real and imaginary parts for any other state.
 
 # Rows (runs) per kernel block, on the counts and the flash path.  Peak
 # memory grows with it: a benchmark-size classify battery (7,750 runs per
@@ -828,10 +831,6 @@ def _lhv_plus(theta: np.ndarray, lam: np.ndarray, mech: np.ndarray) -> np.ndarra
     return value >= 0.0
 
 
-# The rows of a state's cells 01 and 10 (re, im) in the other orientation.
-_SWAPPED = np.array([4, 5, 2, 3])
-
-
 def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
     """Channel decisions (True for +1) of the first len(live) processed
     flashes of each row, shape (steps, rows); rows are sorted so that
@@ -841,20 +840,32 @@ def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
     runs), shared by its arms.  ``trig`` holds per side the row's c and s,
     the cos and sin of half its setting angle, (2 sides, 2, rows).
 
-    The 2x2 amplitude matrix is held as m[cell re/im, row] in the
-    orientation of the side that last collapsed it: cells 00, 01, 10, 11
-    after a side-A step and its transpose, 00, 10, 01, 11, after a side-B
-    step.  A step contracts m[:4] with m[4:]: f = c m[:4] + s m[4:] is
-    (c m00 + s m10, c m01 + s m11) on side A and (m00 c + m01 s, m10 c +
-    m11 s) on side B, and the collapsed matrix (v_i g_j on A, g_i v_j on
-    B) is v_i g_j in the orientation of its side.  So only cells 01 and 10
-    change places: where a row's side is not the last step's, and in the
-    norm, which sums p00, p01, p10, p11 as _simulate_run does.  A row's
-    state is not updated after its last decision.
+    The 2x2 amplitude matrix is held as m[cell, plane, row], 4 x planes
+    rows per run and arm.  A state whose amplitudes have no nonzero
+    imaginary part (-0.0 is not) gets one plane, the real parts: in
+    _simulate_run its imaginary parts then stay +-0 through every complex
+    product, epsilon step and division by the norm, and each enters a
+    probability or the norm only as its square, +0, added to a sum of
+    squares, which changes no bit of the sum; the real parts come from
+    the same real operations either way.  Any other state gets two
+    planes, real and imaginary.
+
+    The matrix is held in the orientation of the side that last collapsed
+    it: cells 00, 01, 10, 11 after a side-A step and its transpose, 00,
+    10, 01, 11, after a side-B step.  A step contracts the first two cells
+    with the last two: f = c (m00, m01) + s (m10, m11) is (c m00 + s m10,
+    c m01 + s m11) on side A and (m00 c + m01 s, m10 c + m11 s) on side B,
+    and the collapsed matrix (v_i g_j on A, g_i v_j on B) is v_i g_j in
+    the orientation of its side.  So only cells 01 and 10 change places:
+    where a row's side is not the last step's, and in the norm, which sums
+    p00, p01, p10, p11, each real part before its imaginary part, as
+    _simulate_run does.  A row's state is not updated after its last
+    decision.
     """
     arms = side_a.shape[1] // draws.shape[1]
     amps = np.asarray(params.state.amplitudes, dtype=complex)
-    m = np.repeat(np.stack([amps.real, amps.imag], axis=1).reshape(8, 1), live[0], axis=1)
+    parts = (amps.real, amps.imag) if amps.imag.any() else (amps.real,)
+    m = np.repeat(np.stack(parts, axis=1)[..., None], live[0], axis=2)  # (cells, planes, rows)
     turn = np.empty_like(side_a)  # the side is not the last step's (A before step 0)
     turn[0] = ~side_a[0]
     np.not_equal(side_a[1:], side_a[:-1], out=turn[1:])
@@ -862,33 +873,39 @@ def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
     plus = np.zeros(side_a.shape, dtype=bool)
     for k, n_live in enumerate(live):
         is_a = side_a[k, :n_live]
-        m[2:6] = np.where(turn[k, :n_live], m[_SWAPPED], m[2:6])
+        m[1:3] = np.where(turn[k, :n_live], m[2:0:-1], m[1:3])  # cells 01 and 10 change places
         c = np.where(is_a, trig[0, 0, :n_live], trig[1, 0, :n_live])
         s = np.where(is_a, trig[0, 1, :n_live], trig[1, 1, :n_live])
-        f = c * m[:4] + s * m[4:]
-        sq = f * f
-        sq = sq[0::2] + sq[1::2]
+        sq = c * m[:2] + s * m[2:]  # f, squared in place
+        sq *= sq
+        p_plus = _sum_rows(sq[0]) + _sum_rows(sq[1])  # |f0|^2 + |f1|^2
         u = draws[k, : n_live // arms]
-        up = np.less(u if arms == 1 else np.repeat(u, arms), sq[0] + sq[1], out=plus[k, :n_live])
+        up = np.less(u if arms == 1 else np.repeat(u, arms), p_plus, out=plus[k, :n_live])
         n_next = live[k + 1] if k + 1 < len(live) else 0
         if n_next == 0:
             break
-        m = m[:, :n_next]
+        m = m[..., :n_next]
         up, c, s = up[:n_next], c[:n_next], s[:n_next]
         v0, v1 = np.where(up, c, -s), np.where(up, s, c)
-        g = v0 * m[:4] + v1 * m[4:]
+        g = v0 * m[:2] + v1 * m[2:]
         p = np.empty_like(m)
-        np.multiply(v0, g, out=p[:4])
-        np.multiply(v1, g, out=p[4:])
+        np.multiply(v0, g, out=p[:2])
+        np.multiply(v1, g, out=p[2:])
         if eps:
             p += eps * (m - p)
         sq = p * p
-        mid = np.where(is_a[:n_next], sq[2:6], sq[_SWAPPED])
-        total = sq[0] + sq[1]
-        for term in (*mid, sq[6], sq[7]):
-            total = total + term
-        m = p / np.sqrt(total)
+        mid = np.where(is_a[:n_next], sq[1:3], sq[2:0:-1])
+        m = p / np.sqrt(_sum_rows((*sq[0], *mid[0], *mid[1], *sq[3])))
     return plus
+
+
+def _sum_rows(rows):
+    """rows[0] + rows[1] + ..., added left to right, as _simulate_run adds
+    the terms of a probability or a norm."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
 
 
 def write_flash_csv(path, blocks) -> int:

@@ -13,6 +13,7 @@ from flashlab.classify import (
     _effective_causality_verdict,
     _effective_locality_verdict,
     _flip_plan,
+    _flip_probes,
     _locality_plan,
     _no_signalling_plan,
     _qf_plan,
@@ -142,13 +143,14 @@ def test_classify_matches_tests_one_by_one(model, master_seed):
     for result in alone:
         got = report.results[result.name]
         assert (got, got.details) == (result, result.details), result.name
+    probes = _flip_probes(params, frames)
     plans = [
         _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
         _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
         _locality_plan(config.n_locality, seeds["locality"]),
-        _flip_plan(params, frames, config.n_eff, seeds["effective_locality"], 0,
+        _flip_plan(probes, config.n_eff, seeds["effective_locality"], 0,
                    _effective_locality_verdict),
-        _flip_plan(params, frames, config.n_eff, seeds["effective_causality"], 1000,
+        _flip_plan(probes, config.n_eff, seeds["effective_causality"], 1000,
                    _effective_causality_verdict),
     ]
     for plan in plans:
@@ -237,7 +239,7 @@ def test_probe_without_conclusive_pairs_is_skipped():
     frames = (Frame(0.5), Frame(1.0), Frame(-0.5), Frame(-1.0))
 
     def run_blind(first_index, verdict):
-        plan = _flip_plan(params, frames, 60, 3, first_index, verdict)
+        plan = _flip_plan(_flip_probes(params, frames), 60, 3, first_index, verdict)
         return plan.verdict(scalar_counts(_blind_at_half, plan.requests, params))
 
     loc = run_blind(0, _effective_locality_verdict)

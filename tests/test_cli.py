@@ -399,3 +399,20 @@ def test_commands_without_scipy_match_a_normal_interpreter(tmp_path):
         assert sorted(files) == ["certificate.json", "flashes_rgrwf.csv", "run_rgrwf.json"]
         outputs[label] = (files, [text for _, text in results])
     assert outputs["no_scipy"] == outputs["normal"]
+
+
+def test_a_failed_parse_leaves_the_next_call_as_a_fresh_one(tmp_path):
+    """main builds its parser once per process; a call that fails to parse
+    must not change what the next call in the same process writes."""
+    cfg = tmp_path / "classify.ini"
+    cfg.write_text("[classify]\nn_qf = 60\nn_nosig = 60\nn_locality = 60\nn_eff = 30\n")
+    outputs = {}
+    for label, bad in (("after_error", [["classify", "--model"], ["classify", "--bogus"]]),
+                       ("fresh", [])):
+        out = tmp_path / label
+        valid = ["classify", "--model", "preferred_frame", "--config", str(cfg),
+                 "--seed", "3", "--out", str(out)]
+        results = json.loads(_python(_CALLS, json.dumps([*bad, valid])))
+        assert [rc for rc, _ in results] == [2] * len(bad) + [0]
+        outputs[label] = (results[-1][1], (out / "classify_preferred_frame.json").read_bytes())
+    assert outputs["after_error"] == outputs["fresh"]

@@ -41,7 +41,7 @@ from flashlab.models import (
     run_model,
     write_flash_csv,
 )
-from flashlab.quantum import PureState, SettingPair
+from flashlab.quantum import PureState, SettingPair, singlet
 from flashlab.randomness import (
     PCG64Streams,
     _mix_seed_rows,
@@ -536,6 +536,48 @@ def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, mode
     params = ModelParams(
         state=random_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
     )
+    assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)
+
+
+# The collapse holds a state with no nonzero imaginary part as one plane
+# of real parts, any other state as two planes: a real state, the singlet
+# with every imaginary part -0.0 (one plane: -0.0 is not nonzero) and a real
+# state with one imaginary part of 1e-12 (two planes) sit on either side.
+def _real_state(rng) -> PureState:
+    z = rng.normal(size=4)
+    return PureState(z / np.linalg.norm(z))
+
+
+PLANE_STATES = {
+    "real": _real_state(np.random.default_rng(13)),
+    "singlet_minus_zero": PureState(
+        np.array([complex(x, -0.0) for x in singlet().amplitudes.real])
+    ),
+    "tiny_imaginary": PureState(
+        _real_state(np.random.default_rng(13)).amplitudes + [0, 0, 1e-12j, 0]
+    ),
+}
+
+
+def test_plane_states_straddle_the_boundary():
+    states = {name: state.amplitudes for name, state in PLANE_STATES.items()}
+    assert not states["real"].imag.any()
+    assert not states["singlet_minus_zero"].imag.any()
+    assert np.signbit(states["singlet_minus_zero"].imag).all()
+    assert np.count_nonzero(states["tiny_imaginary"].imag) == 1
+
+
+@pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
+@pytest.mark.parametrize("state", list(PLANE_STATES))
+def test_kernel_matches_scalar_either_side_of_one_plane(model, state):
+    params = ModelParams(state=PLANE_STATES[state], epsilon=0.02)
+    assert_run_for_run(model, [(2.2, 0.9), (5.0, 0.9)], Frame(0.8), params, 2000, 23)
+
+
+@pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
+@pytest.mark.parametrize("state", list(PLANE_STATES))
+def test_flash_csv_matches_scalar_either_side_of_one_plane(tmp_path, capsys, model, state):
+    params = ModelParams(state=PLANE_STATES[state], epsilon=0.02)
     assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)
 
 

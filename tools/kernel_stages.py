@@ -16,6 +16,11 @@ default) and reports how long each stage of the kernel took, per battery:
   other            the rest of the battery: request plans, blocks and
                    seeds, verdicts, chi-square
 
+Below the table it gives the collapse's work per battery: its steps,
+summed over every _collapse call, and its row-steps, the live rows summed
+over those steps, so that a change to the collapse shows its element
+work beside its milliseconds.
+
 Each stage is timed by wrapping the flashlab functions that make it up
 and counting only their own time, not that of a wrapped stage they call.
 The wrappers add a few microseconds per call, so the total runs a little
@@ -106,6 +111,19 @@ def instrument(clock: StageClock) -> None:
     clock.wrap(models._Tally, "add", "tally")
 
 
+def count_collapse_work(work: dict) -> None:
+    """Rebind models._collapse to add each call's steps and row-steps to
+    ``work``."""
+    collapse = models._collapse
+
+    def counted(params, trig, side_a, draws, live):
+        work["steps"] += len(live)
+        work["row-steps"] += sum(live)
+        return collapse(params, trig, side_a, draws, live)
+
+    models._collapse = counted
+
+
 def battery(config: ClassifyConfig) -> list:
     return [classify(model, config=config) for model in models.ModelId]
 
@@ -121,11 +139,14 @@ def main(argv=None) -> int:
     config = ClassifyConfig(master_seed=1, **SIZES[args.size]["classify"])
 
     battery(config)  # warm-up: scipy import, Poisson tables, jump tables
+    work = defaultdict(int)  # collapse steps and row-steps of one battery
+    count_collapse_work(work)
     clock = StageClock()
     instrument(clock)
     per_pass = defaultdict(list)
     for _ in range(args.passes):
         clock.seconds.clear()
+        work.clear()
         start = time.perf_counter()
         battery(config)
         total = time.perf_counter() - start
@@ -145,6 +166,8 @@ def main(argv=None) -> int:
     for stage in STAGES + ("total",):
         ms = 1e3 * statistics.median(per_pass[stage])
         print(f"{stage:<16}{ms:9.2f}{ms / (1e3 * total):8.1%}")
+    print(f"collapse work per battery: {work['steps']:,} steps, "
+          f"{work['row-steps']:,} row-steps")
     return 0
 
 
