@@ -543,19 +543,14 @@ def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, mode
 # of real parts, any other state as two planes: a real state, the singlet
 # with every imaginary part -0.0 (one plane: -0.0 is not nonzero) and a real
 # state with one imaginary part of 1e-12 (two planes) sit on either side.
-def _real_state(rng) -> PureState:
-    z = rng.normal(size=4)
-    return PureState(z / np.linalg.norm(z))
-
-
+_REAL = np.random.default_rng(13).normal(size=4)
+_REAL /= np.linalg.norm(_REAL)
 PLANE_STATES = {
-    "real": _real_state(np.random.default_rng(13)),
+    "real": PureState(_REAL),
     "singlet_minus_zero": PureState(
         np.array([complex(x, -0.0) for x in singlet().amplitudes.real])
     ),
-    "tiny_imaginary": PureState(
-        _real_state(np.random.default_rng(13)).amplitudes + [0, 0, 1e-12j, 0]
-    ),
+    "tiny_imaginary": PureState(_REAL + [0, 0, 1e-12j, 0]),
 }
 
 
