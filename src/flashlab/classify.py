@@ -316,14 +316,11 @@ def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestR
 def _flip_probe(frame: Frame, earlier: str, counts) -> dict:
     """A flip probe's counts, from the joint table of its two arms."""
     joint, dropped = counts
-    side = 1 if earlier == "B" else 0
+    # axes (alpha, beta) of the first arm, then of the second, as in
+    # OUTCOME_CELLS; the earlier region's outcomes of the two arms remain
+    earlier_outcomes = joint.reshape(2, 2, 2, 2).sum(axis=(0, 2) if earlier == "B" else (1, 3))
     pairs = int(joint.sum())
-    flips = sum(
-        int(joint[i, j])
-        for i, c1 in enumerate(OUTCOME_CELLS)
-        for j, c2 in enumerate(OUTCOME_CELLS)
-        if c1[side] != c2[side]
-    )
+    flips = pairs - int(earlier_outcomes.trace())
     return {
         "frame": frame,
         "earlier": earlier,

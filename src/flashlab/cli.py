@@ -1,7 +1,7 @@
 """Batch front-end: seeded runs, classification reports, certificates.
 
 Configuration comes from an INI-style file (sections of key = value
-pairs) with every value overridable by a command-line flag; all
+pairs), whose experiment values a command's flags override; all
 randomness flows from one master seed (flag, config, or the
 FLASHLAB_SEED environment variable), so a rerun with the same inputs is
 byte-identical.  Output files are written atomically
@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .classify import ClassifyConfig, classify, params_digest
+from .classify import TEST_NAMES, ClassifyConfig, classify, params_digest
 from .determinism import (
     CertifyConfig,
     _k_bits_limit,
@@ -127,8 +127,11 @@ class RunConfig:
         )
         self.n = self._count(args.n, "experiment", "n", 10_000, 1)
         self.master_seed = self._resolve_seed(args)
-        self.flash_rate = self._value(None, "experiment", "flash_rate", 5.0, float, "a number")
-        self.epsilon = self._value(None, "experiment", "epsilon", 0.0, float, "a number")
+        # ModelParams' own defaults stand in for the values the file leaves out
+        physics = _given({
+            key: self._value(None, "experiment", key, None, float, "a number")
+            for key in ("flash_rate", "epsilon")
+        })
         self.out_dir = Path(args.out or self._raw("output", "out_dir", "results"))
         self.csv = bool(args.csv) or self._value(None, "output", "csv", False, _bool, "a boolean")
         regions = (
@@ -136,12 +139,7 @@ class RunConfig:
             self._resolve_region("b_box", DEFAULT_REGION_B),
         )
         try:
-            self.params = ModelParams(
-                state=self.state,
-                flash_rate=self.flash_rate,
-                epsilon=self.epsilon,
-                regions=regions,
-            )
+            self.params = ModelParams(state=self.state, regions=regions, **physics)
         except ValueError as exc:
             raise ConfigError(f"{self.path or '<flags>'}: invalid parameters: {exc}") from exc
 
@@ -200,18 +198,11 @@ class RunConfig:
                 raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
         return 1
 
-    def _resolve_model(self, args):
-        raw = args.model or self._raw("experiment", "model", "rgrwf")
-        try:
-            return ModelId(raw)
-        except ValueError as exc:
-            anchor = (
-                self._anchor("experiment", "model")
-                if ("experiment", "model") in self.entries and not args.model
-                else "--model"
-            )
-            valid = ", ".join(m.value for m in ModelId)
-            raise ConfigError(f"{anchor}: unknown model {raw!r} (valid: {valid})") from exc
+    def _resolve_model(self, args) -> ModelId:
+        # an empty --model= falls back to the config file
+        flag = args.model or None
+        return ModelId(self._value(flag, "experiment", "model", "rgrwf", str, "a name",
+                                   _check_model))
 
     def _resolve_state(self) -> PureState:
         raw = self._raw("experiment", "state", "singlet")
@@ -246,11 +237,10 @@ class RunConfig:
             raise ConfigError(f"{self._anchor('regions', key)}: {exc}") from exc
 
     def classify_config(self) -> ClassifyConfig:
-        kwargs = {"master_seed": self.master_seed}
-        for key in ("n_qf", "n_nosig", "n_locality", "n_eff"):
-            value = self._count(None, "classify", key, None, 1)
-            if value is not None:
-                kwargs[key] = value
+        kwargs = _given({
+            key: self._count(None, "classify", key, None, 1)
+            for key in ("n_qf", "n_nosig", "n_locality", "n_eff")
+        })
         numbers = "one or more numbers"
         frames = self._value(None, "classify", "frames_probe", None, _floats, numbers,
                              lambda chis: [Frame(chi) for chi in chis])
@@ -265,24 +255,34 @@ class RunConfig:
             )
         if a_grid is not None:
             kwargs["qf_grid"] = tuple((a, b) for a in a_grid for b in b_grid)
-        return ClassifyConfig(**kwargs)
+        return ClassifyConfig(master_seed=self.master_seed, **kwargs)
 
     def certify_config(self) -> CertifyConfig:
-        # certify enumerates the CHSH settings, 2 per side, for k = 0..k_max
-        k_max = self._count(None, "certify", "k_max", 2, 0, _k_bits_limit(2, 2))
-        theta = self._value(None, "certify", "theta", math.pi / 3, float, "a number")
-        # the quantum values violate the Wigner inequality only inside (0, pi/2)
-        if not 0.0 < theta < math.pi / 2:
-            raise ConfigError(
-                f"{self._anchor('certify', 'theta')}: theta must lie in (0, pi/2), got {theta}"
-            )
-        return CertifyConfig(
-            params=self.params,
-            k_max=k_max,
-            theta=theta,
-            witness_samples=self._count(None, "certify", "witness_samples", 1000, 1),
-            master_seed=self.master_seed,
-        )
+        given = _given({
+            # certify enumerates the CHSH settings, 2 per side, for k = 0..k_max
+            "k_max": self._count(None, "certify", "k_max", None, 0, _k_bits_limit(2, 2)),
+            "theta": self._value(None, "certify", "theta", None, float, "a number", _check_theta),
+            "witness_samples": self._count(None, "certify", "witness_samples", None, 1),
+        })
+        return CertifyConfig(params=self.params, master_seed=self.master_seed, **given)
+
+
+def _given(values: dict) -> dict:
+    """The entries of ``values`` that are not None: the settings given, so
+    that a dataclass's own defaults fill in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _check_model(name: str) -> None:
+    valid = [m.value for m in ModelId]
+    if name not in valid:
+        raise ValueError(f"unknown model {name!r} (valid: {', '.join(valid)})")
+
+
+def _check_theta(theta: float) -> None:
+    # the quantum values violate the Wigner inequality only inside (0, pi/2)
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
 
 
 @contextlib.contextmanager
@@ -371,8 +371,8 @@ def cmd_run(cfg: RunConfig) -> int:
         se = math.sqrt(f * (1.0 - f) / conclusive)
         lines.append(f"{key:<9}{_sig6(f):>12}{_sig6(se):>12}{_sig6(oracle[cell]):>12}")
     lines.append(f"inconclusive runs: {inconclusive} of {cfg.n}")
-    print("\n".join(lines))
     _write_json(cfg.out_dir / f"run_{cfg.model.value}.json", payload)
+    print("\n".join(lines))
     return 0
 
 
@@ -386,24 +386,20 @@ def _run_header(payload: dict) -> str:
 
 
 _VERDICT_MARK = {"pass": "✓", "fail": "✗", "inconclusive": "?"}
-_ROW_LABELS = (
-    ("qf_agreement", "qf"),
-    ("no_signalling", "nosig"),
-    ("locality", "local"),
-    ("effective_locality", "eff-local"),
-    ("effective_causality", "eff-causal"),
-)
+_ROW_LABELS = dict(zip(TEST_NAMES, ("qf", "nosig", "local", "eff-local", "eff-causal")))
 
 
 def _verdict_row(model: str, verdicts: dict) -> str:
-    cells = " | ".join(f"{label} {_VERDICT_MARK[verdicts[name]]}" for name, label in _ROW_LABELS)
+    cells = " | ".join(
+        f"{label} {_VERDICT_MARK[verdicts[name]]}" for name, label in _ROW_LABELS.items()
+    )
     return f"{model}: {cells}"
 
 
 def cmd_classify(cfg: RunConfig) -> int:
     report = classify(cfg.model, cfg.params, cfg.classify_config())
-    print(_verdict_row(report.model, report.verdicts()))
     _write_json(cfg.out_dir / f"classify_{cfg.model.value}.json", report.to_json_dict())
+    print(_verdict_row(report.model, report.verdicts()))
     return 0
 
 
@@ -412,21 +408,20 @@ def cmd_certify(cfg: RunConfig) -> int:
     certificate = no_effectively_causal_nonlocal_determinism_check(cert_cfg)
     local_max = max(entry["max_chsh"] for entry in certificate.enumeration)
     quantum = abs(chsh_value(cfg.params.state, *CHSH_ANGLES))
-    print(f"local max {_sig6(local_max)} < quantum {_sig6(quantum)}")
     w = certificate.wigner
-    print(
-        f"wigner theta={_sig6(w.theta)}: strategies lhs {_sig6(w.lhs)} <= rhs {_sig6(w.rhs)}; "
-        f"quantum {_sig6(w.quantum_lhs)} > {_sig6(w.quantum_rhs)}"
-    )
     jw = certificate.janus_witness
-    print(
+    lines = [
+        f"local max {_sig6(local_max)} < quantum {_sig6(quantum)}",
+        f"wigner theta={_sig6(w.theta)}: strategies lhs {_sig6(w.lhs)} <= rhs {_sig6(w.rhs)}; "
+        f"quantum {_sig6(w.quantum_lhs)} > {_sig6(w.quantum_rhs)}",
         f"janus witness: region {jw.region} flips "
         f"{jw.outcomes[0]:+d} -> {jw.outcomes[1]:+d} in frame chi="
         f"{_sig6(jw.frame.rapidity)} when the later setting moves "
         f"{_sig6(jw.setting_pairs[0].a.angle if jw.region == 'B' else jw.setting_pairs[0].b.angle)} -> "
-        f"{_sig6(jw.setting_pairs[1].a.angle if jw.region == 'B' else jw.setting_pairs[1].b.angle)}"
-    )
+        f"{_sig6(jw.setting_pairs[1].a.angle if jw.region == 'B' else jw.setting_pairs[1].b.angle)}",
+    ]
     _write_json(cfg.out_dir / "certificate.json", certificate.to_json_dict())
+    print("\n".join(lines))
     return 0
 
 
@@ -494,7 +489,7 @@ def cmd_report(path: str) -> int:
     return 0
 
 
-# The flags of run, classify and certify that take a value.  argparse reads
+# The flags of run, classify or certify that take a value.  argparse reads
 # a value that starts with "-" and is not a plain negative number, such as
 # "-1e-3" or "-inf", as a flag of its own, so main() first joins each of
 # these flags, or a prefix that names one of them alone, to the token after
@@ -522,21 +517,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flashlab",
         description="EPR flash-model simulations, classification, and certificates",
     )
+    # RunConfig reads every flag of run; a command that has no such flag
+    # leaves it at this default
+    parser.set_defaults(model=None, n=None, frame=None, a=None, b=None, csv=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="INI-style config file")
-        p.add_argument("--model", help="rgrwf | preferred_frame | local_hv")
-        p.add_argument("--n", type=int, help="number of runs")
-        p.add_argument("--seed", type=int, help=f"master seed (or ${SEED_ENV_VAR})")
-        p.add_argument("--frame", type=float, help="frame rapidity chi")
-        p.add_argument("--a", type=float, help="side A setting angle (radians)")
-        p.add_argument("--b", type=float, help="side B setting angle (radians)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--csv", action="store_true", help="also dump per-run flashes to CSV")
-
-    for name in ("run", "classify", "certify"):
-        add_common(sub.add_parser(name))
+    flags = {
+        "config": dict(help="INI-style config file"),
+        "model": dict(help="rgrwf | preferred_frame | local_hv"),
+        "n": dict(type=int, help="number of runs"),
+        "seed": dict(type=int, help=f"master seed (or ${SEED_ENV_VAR})"),
+        "frame": dict(type=float, help="frame rapidity chi"),
+        "a": dict(type=float, help="side A setting angle (radians)"),
+        "b": dict(type=float, help="side B setting angle (radians)"),
+        "out": dict(help="output directory"),
+        "csv": dict(action="store_true", help="also dump per-run flashes to CSV"),
+    }
+    # each command takes only the flags it reads
+    for name, keys in (
+        ("run", tuple(flags)),
+        ("classify", ("config", "model", "seed", "out")),
+        ("certify", ("config", "seed", "out")),
+    ):
+        command = sub.add_parser(name)
+        for key in keys:
+            command.add_argument(f"--{key}", **flags[key])
     rep = sub.add_parser("report", help="re-render a previously written JSON report")
     rep.add_argument("path")
     return parser
@@ -562,7 +566,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(cfg)
         return cmd_certify(cfg)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

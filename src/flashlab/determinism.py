@@ -25,9 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
-from .models import (
-    ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _poisson_cdf_table, _run,
-)
+from .models import ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _run
 from .quantum import CHSH_ANGLES, SettingPair, flip_arms
 from .randomness import BITS_PER_UNIFORM, BitSource, mix_seed, random_bits
 
@@ -38,7 +36,6 @@ MAX_K_BITS = 10
 MAX_TOTAL_STRATEGIES = 1 << 20
 
 DEFAULT_BIT_BUDGET = 8192
-MIN_BIT_BUDGET = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,30 +262,19 @@ class JanusRealization:
 
     Bits are consumed 32 per uniform, pattern draws first (a
     settings-independent prefix), then channel decisions in the native
-    frame's temporal order.  The default ``bit_budget`` holds the most
-    uniforms one run under ``params`` can draw, and at least
+    frame's temporal order.  ``bit_budget`` holds the most uniforms one
+    run under ``params`` can draw (models._max_draws), and at least
     DEFAULT_BIT_BUDGET bits.
     """
 
     native_frame: Frame
     params: ModelParams = field(default_factory=ModelParams)
-    bit_budget: int | None = None
+    bit_budget: int = field(init=False)
     channel_law: str = "quantum"  # or "local_hv": wrap the local model instead
 
     def __post_init__(self):
-        if self.bit_budget is None:
-            # a run draws at most 2 + 3 (nA + nB) uniforms, and a count
-            # never exceeds the length of its Poisson table
-            n_max = sum(
-                len(_poisson_cdf_table(self.params.flash_rate * (r.t_max - r.t_min)))
-                for r in self.params.regions
-            )
-            budget = BITS_PER_UNIFORM * (2 + 3 * n_max)
-            object.__setattr__(self, "bit_budget", max(DEFAULT_BIT_BUDGET, budget))
-        if self.bit_budget < MIN_BIT_BUDGET or self.bit_budget % BITS_PER_UNIFORM:
-            raise ValueError(
-                f"bit_budget must be a multiple of {BITS_PER_UNIFORM} and >= {MIN_BIT_BUDGET}"
-            )
+        budget = max(DEFAULT_BIT_BUDGET, BITS_PER_UNIFORM * _max_draws(self.params))
+        object.__setattr__(self, "bit_budget", budget)
         if self.channel_law not in ("quantum", "local_hv"):
             raise ValueError(f"unknown channel law {self.channel_law!r}")
 

@@ -313,6 +313,22 @@ def _simulate_run(
     return ExperimentRun(settings, report_frame, seed, flashes, outcome, tuple(trace))
 
 
+def _max_draws(params: ModelParams) -> int:
+    """The most uniforms one run of any model under ``params`` draws.
+
+    _simulate_run draws two counts and a time and a position per flash,
+    then one channel per flash, 2 + 3 (nA + nB) uniforms, or for local_hv
+    lambda and the mechanism, 4 + 2 (nA + nB).  A count never exceeds the
+    length of its Poisson table, and those lengths sum to at least 2,
+    where both totals are 8, so 2 + 3 (len(table A) + len(table B))
+    bounds either model.
+    """
+    n_max = sum(
+        len(_poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min))) for r in params.regions
+    )
+    return 2 + 3 * n_max
+
+
 def _coerce_pair(settings) -> SettingPair:
     if isinstance(settings, SettingPair):
         return settings
@@ -566,21 +582,14 @@ class _Patterns:
         lam, mech = self._streams.draw(np.full(self.conclusive.size, 2)).T
         return 2.0 * math.pi * lam, mech >= 0.5
 
-    def processing_order(self, keys):
-        """Each run's flash columns in the order their channels are drawn
-        (the order of ``keys``, the flash times in the processing frame),
-        which of those are A flashes, and the positions of each run's
-        first A and first B flash in that order."""
-        order = _time_order(keys)
-        in_a = order < self.width_a
-        return order, in_a, np.argmax(in_a, axis=1), np.argmax(~in_a, axis=1)
-
     def first_flashes(self, keys):
-        """processing_order's positions of each run's first A and first
-        B flash, without ordering its flashes: the region with the
-        earliest flash comes first, and the other's first flash follows
-        that region's flashes before it.  A tie goes to the A flash, as
-        A's columns come first in the stable sort."""
+        """The positions of each run's first A and first B flash in the
+        order its channels are drawn (the _time_order of ``keys``, the
+        flash times in the processing frame), without ordering its
+        flashes: the region with the earliest flash comes first, and the
+        other's first flash follows that region's flashes before it.  A
+        tie goes to the A flash, as A's columns come first in the stable
+        sort."""
         keys = keys.T.copy()  # flashes by runs: reductions over runs' short rows are slow
         key_a, key_b = keys[: self.width_a], keys[self.width_a :]
         min_a, min_b = key_a.min(axis=0), key_b.min(axis=0)
@@ -715,11 +724,12 @@ def _decide(block: _Patterns, model: ModelId, rows: _Stack, every_flash=False):
         return cells, plus
 
     keys = _frame_times(block.t, block.x, rows.cosh[:, None], rows.sinh[:, None])
+    first_a, first_b = block.first_flashes(keys)
     if every_flash:
-        order, in_a, first_a, first_b = block.processing_order(keys)
+        order = _time_order(keys)
+        in_a = order < block.width_a
         steps = np.where(conclusive, block.n_a + block.n_b, 0)
     else:
-        first_a, first_b = block.first_flashes(keys)
         steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
         # the flashes before both firsts are the earlier region's, then
         # the other region's first

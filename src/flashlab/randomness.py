@@ -146,11 +146,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_DOUBLE = 1.0 / (1 << 53)
 
 
-def mix_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """``[mix_seed(master_seed, i) for i in range(start, stop)]`` as uint64."""
-    return _mix_seed_rows(np.array(master_seed & _MASK64, dtype=_U64), np.arange(start, stop))
-
-
 def _mix_seed_rows(master_seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """``mix_seed(master_seeds[i], indices[i])`` for each i, as uint64;
     ``master_seeds`` holds the master seeds mod 2^64 as uint64."""
@@ -365,10 +360,6 @@ class PCG64Streams:
             _mul128(self._hi[rows], self._lo[rows], mults),
             _mul128(self._inc[0][rows], self._inc[1][rows], incrs),
         )
-
-    def random(self, k: int) -> np.ndarray:
-        """The next k values of every stream, (streams, k)."""
-        return self.draw(np.full(self._lo.size, k))
 
 
 def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -213,6 +213,8 @@ def test_negative_flag_values_parse_space_separated(tmp_path, capsys, command):
     cfg.write_text("[classify]\nn_qf = 20\nn_nosig = 20\nn_locality = 20\nn_eff = 20\n"
                    "[certify]\nk_max = 0\nwitness_samples = 10\n")
     values = {"--frame": "-1e-3", "--a": "-1e-5", "--b": "-2.5", "--seed": "-7", "--n": "40"}
+    if command != "run":  # the only value flag of classify and certify that takes a number
+        values = {"--seed": "-7"}
     outputs = []
     for joined in (False, True):
         out = tmp_path / f"joined{joined}"
@@ -223,6 +225,36 @@ def test_negative_flag_values_parse_space_separated(tmp_path, capsys, command):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         capsys.readouterr()
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("classify", "certify")
+      for flag in (("--n", "40"), ("--frame", "0.5"), ("--a", "0"), ("--b", "-1"), ("--csv",))),
+    ("certify", ("--model", "rgrwf")),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *flag, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flashlab") and "unrecognized arguments" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "certify"])
+def test_unwritable_output_directory_is_one_error_line(tmp_path, capfd, command):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[experiment]\nn = 10\n[classify]\nn_qf = 20\nn_nosig = 20\n"
+                   "n_locality = 20\nn_eff = 20\n[certify]\nk_max = 0\nwitness_samples = 10\n")
+    blocker = tmp_path / "f"
+    blocker.touch()
+    for out in (blocker, blocker / "sub"):  # FileExistsError, NotADirectoryError
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "small.ini"]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -22,9 +22,11 @@ from flashlab.determinism import (
     wigner_check,
 )
 from flashlab.minkowski import Frame, order_flip_rapidity
-from flashlab.models import EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, ensembles
+from flashlab.models import (
+    EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, _run, ensembles,
+)
 from flashlab.quantum import SettingPair
-from flashlab.randomness import BitsExhausted, random_bits
+from flashlab.randomness import BitsExhausted, BitSource, random_bits
 from flashlab.stats import chi2_homogeneity
 
 CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -282,13 +284,12 @@ def test_janus_matches_stochastic_law(n=20_000):
 
 
 def test_bit_exhaustion_names_the_draw():
-    j = JanusRealization(Frame(0.0), bit_budget=1024)  # 32 uniforms only
     rng = np.random.default_rng(8)
     starved = None
     for _ in range(200):
-        bits = random_bits(rng, 1024)
+        bits = random_bits(rng, 1024)  # 32 uniforms only
         try:
-            janus_run(j, (0.0, 1.0), bits, record_trace=False)
+            _run(ModelId.RGRWF, BitSource(bits), (0.0, 1.0), Frame(0.0), None, None, False)
         except BitsExhausted as exc:
             starved = exc
             break

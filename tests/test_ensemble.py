@@ -41,16 +41,15 @@ from flashlab.models import (
     run_model,
     write_flash_csv,
 )
-from flashlab.quantum import PureState, SettingPair, singlet
-from flashlab.randomness import (
-    PCG64Streams,
-    _mix_seed_rows,
-    _seed_sequence_words,
-    mix_seed,
-    mix_seeds,
-)
+from flashlab.quantum import PureState, SettingPair, random_pure_state, singlet
+from flashlab.randomness import PCG64Streams, _mix_seed_rows, _seed_sequence_words, mix_seed
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+def run_seeds(master_seed, n) -> np.ndarray:
+    """The seeds mix_seed(master_seed, i) of runs i < n, as uint64."""
+    return _mix_seed_rows(np.uint64(master_seed % 2**64), np.arange(n))
 
 
 def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
@@ -67,7 +66,7 @@ def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
 
 
 def assert_run_for_run(model, pairs, frame, params, n, master_seed):
-    seeds = mix_seeds(master_seed, 0, n)
+    seeds = run_seeds(master_seed, n)
     request = EnsembleRequest([SettingPair(*p) for p in pairs], frame, n, master_seed)
     rows = _stack(model, [request]).take(np.zeros(n, dtype=np.intp))
     got = _kernel_block(model, rows, params, seeds)
@@ -79,22 +78,12 @@ def assert_run_for_run(model, pairs, frame, params, n, master_seed):
     )
 
 
-def random_state(rng) -> PureState:
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return PureState(z / np.linalg.norm(z))
-
-
-def test_mix_seeds_match_scalar():
-    for master in (0, 1, 7, -3, 2**64 - 1, 2**70 + 5):
-        assert mix_seeds(master, 0, 300).tolist() == [mix_seed(master, i) for i in range(300)]
-    assert mix_seeds(9, 4090, 4100).tolist() == [mix_seed(9, i) for i in range(4090, 4100)]
-
-
 def test_mix_seed_rows_match_scalar():
     # one master seed per row, as a kernel block mixes requests; masters
     # are taken mod 2^64 as mix_seed takes them
     masters = [0, 1, 7, -3, 2**64 - 1, 2**70 + 5]
-    rows = [(m, i) for m in masters for i in (0, 1, 4095, 10**6)]
+    rows = [(m, i) for m in masters for i in (*range(300), 4095, 10**6)]
+    rows += [(9, i) for i in range(4090, 4100)]
     got = _mix_seed_rows(np.array([m % 2**64 for m, _ in rows], dtype=np.uint64),
                          np.array([i for _, i in rows]))
     assert got.tolist() == [mix_seed(m, i) for m, i in rows]
@@ -105,10 +94,11 @@ def test_pcg64_streams_match_numpy():
         return np.array([np.random.Generator(np.random.PCG64(s)).random(k) for s in seeds])
 
     edge = PCG64Streams(np.array(EDGE_SEEDS, dtype=np.uint64))
-    first, more = edge.random(5), edge.random(60)
+    each = np.ones(len(EDGE_SEEDS), dtype=np.intp)
+    first, more = edge.draw(5 * each), edge.draw(60 * each)
     np.testing.assert_array_equal(np.hstack([first, more]), reference(EDGE_SEEDS, 65))
     seeds = [mix_seed(2024, i) for i in range(10_000)]
-    got = PCG64Streams(np.array(seeds, dtype=np.uint64)).random(6)
+    got = PCG64Streams(np.array(seeds, dtype=np.uint64)).draw(np.full(len(seeds), 6))
     np.testing.assert_array_equal(got, reference(seeds, 6))
 
 
@@ -190,6 +180,31 @@ def test_poisson_table_matches_inverse(mean):
     assert [_poisson_inverse(u, mean) for u in us.tolist()] == want
 
 
+@pytest.mark.parametrize("width_a", [1, 2, 4])
+@pytest.mark.parametrize("width_b", [1, 3])
+def test_first_flashes_follow_the_stable_sort(width_a, width_b):
+    # small integer keys tie within and across regions, and inf pads each
+    # region after its count; the first A and first B flash must sit where
+    # the stable sort of a run's keys puts A's and B's first column
+    rng = np.random.default_rng(100 * width_a + width_b)
+    runs = 3000
+    keys = rng.integers(-2, 3, size=(runs, width_a + width_b)).astype(float)
+    n_a = rng.integers(1, width_a + 1, size=runs)
+    n_b = rng.integers(1, width_b + 1, size=runs)
+    column = np.arange(keys.shape[1])
+    keys[(column < width_a) & (column >= n_a[:, None])] = np.inf
+    keys[column >= width_a + n_b[:, None]] = np.inf
+    block = models._Patterns.__new__(models._Patterns)
+    block.width_a = width_a
+    first_a, first_b = block.first_flashes(keys)
+    in_a = np.argsort(keys, axis=1, kind="stable") < width_a
+    np.testing.assert_array_equal(first_a, np.argmax(in_a, axis=1))
+    np.testing.assert_array_equal(first_b, np.argmax(~in_a, axis=1))
+    # both region orders, and ties across regions, occur
+    min_a, min_b = keys[:, :width_a].min(axis=1), keys[:, width_a:].min(axis=1)
+    assert (min_a < min_b).any() and (min_b < min_a).any() and (min_a == min_b).any()
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 def test_kernel_matches_scalar_at_defaults(model):
     assert_run_for_run(model, [(0.0, math.pi / 3)], Frame(0.0), ModelParams(), 10_000, 31)
@@ -208,7 +223,7 @@ def test_kernel_matches_scalar_frames_and_softening(model, chi, epsilon):
 @pytest.mark.parametrize("rate", [0.7, 20.0])
 def test_kernel_matches_scalar_complex_state_and_rates(model, rate):
     params = ModelParams(
-        state=random_state(np.random.default_rng(5)), flash_rate=rate, epsilon=0.02
+        state=random_pure_state(np.random.default_rng(5)), flash_rate=rate, epsilon=0.02
     )
     assert_run_for_run(model, [(2.2, 0.9), (5.0, 0.9)], Frame(0.8), params, 2000, 23)
 
@@ -221,7 +236,7 @@ def test_ensemble_counts_across_blocks(model):
     params = ModelParams(flash_rate=1.0)
     ((joint, inconclusive),) = ensembles(model, [EnsembleRequest(pairs, Frame(0.6), 5000, 77)],
                                          params)
-    want = scalar_cells(model, pairs, Frame(0.6), params, mix_seeds(77, 0, 5000).tolist())
+    want = scalar_cells(model, pairs, Frame(0.6), params, run_seeds(77, 5000).tolist())
     ok = want[0] >= 0
     expected = np.zeros((4, 4), dtype=np.int64)
     np.add.at(expected, (want[0, ok], want[1, ok]), 1)
@@ -248,7 +263,7 @@ def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(model):
     got = [_kernel_block(model, rows, params, seeds) for _, _, rows, seeds in _blocks(model, requests)]
     got = np.hstack(got)
     want = np.hstack([
-        scalar_cells(model, arms, r.frame, params, mix_seeds(r.master_seed, 0, r.n).tolist())
+        scalar_cells(model, arms, r.frame, params, run_seeds(r.master_seed, r.n).tolist())
         for r in requests
     ])
     mismatched = np.flatnonzero((got != want).any(axis=0))
@@ -275,7 +290,7 @@ def test_stacked_arms_match_one_arm_blocks(model, chi, epsilon):
     flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
     frame = flip if chi == "flip" else Frame(chi)
     arms = [SettingPair(0.4, 1.3), SettingPair(2.0, 2.9)]
-    seeds = mix_seeds(29, 0, _KERNEL_BLOCK)
+    seeds = run_seeds(29, _KERNEL_BLOCK)
 
     def cells(pairs):
         request = EnsembleRequest(pairs, frame, seeds.size, 29)
@@ -374,7 +389,7 @@ def model_params(draw, rates=st.floats(0.05, 12.0)):
     )
     seed = draw(st.integers(0, 2**32 - 1))
     return ModelParams(
-        state=random_state(np.random.default_rng(seed)),
+        state=random_pure_state(np.random.default_rng(seed)),
         flash_rate=draw(rates),
         epsilon=draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.1))])),
         regions=regions,
@@ -534,7 +549,7 @@ def test_flash_csv_matches_scalar(tmp_path, capsys, model, chi, epsilon):
 @pytest.mark.parametrize("rate", [0.7, 20.0])
 def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, model, rate):
     params = ModelParams(
-        state=random_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
+        state=random_pure_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
     )
     assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)
 
