@@ -78,12 +78,19 @@ def assert_run_for_run(model, pairs, frame, params, n, master_seed):
     )
 
 
+def test_mix_seeds_match_scalar():
+    # a run range of one master seed, as a request's runs are mixed
+    for master in (0, 1, 7, -3, 2**64 - 1, 2**70 + 5):
+        assert run_seeds(master, 300).tolist() == [mix_seed(master, i) for i in range(300)]
+    got = _mix_seed_rows(np.uint64(9), np.arange(4090, 4100))
+    assert got.tolist() == [mix_seed(9, i) for i in range(4090, 4100)]
+
+
 def test_mix_seed_rows_match_scalar():
     # one master seed per row, as a kernel block mixes requests; masters
     # are taken mod 2^64 as mix_seed takes them
     masters = [0, 1, 7, -3, 2**64 - 1, 2**70 + 5]
-    rows = [(m, i) for m in masters for i in (*range(300), 4095, 10**6)]
-    rows += [(9, i) for i in range(4090, 4100)]
+    rows = [(m, i) for m in masters for i in (0, 1, 4095, 10**6)]
     got = _mix_seed_rows(np.array([m % 2**64 for m, _ in rows], dtype=np.uint64),
                          np.array([i for _, i in rows]))
     assert got.tolist() == [mix_seed(m, i) for m, i in rows]
