@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .classify import TEST_NAMES, ClassifyConfig, classify, params_digest
+from .classify import TEST_NAMES, ClassifyConfig, _flip_probes, classify, params_digest
 from .determinism import (
     CertifyConfig,
     _k_bits_limit,
@@ -242,8 +242,9 @@ class RunConfig:
             for key in ("n_qf", "n_nosig", "n_locality", "n_eff")
         })
         numbers = "one or more numbers"
+        # the probes must order the regions both ways under these params
         frames = self._value(None, "classify", "frames_probe", None, _floats, numbers,
-                             lambda chis: [Frame(chi) for chi in chis])
+                             lambda chis: _flip_probes(self.params, [Frame(chi) for chi in chis]))
         if frames is not None:
             kwargs["frames_probe"] = tuple(Frame(chi) for chi in frames)
         a_grid = self._value(None, "classify", "a_grid", None, _floats, numbers)
@@ -489,12 +490,26 @@ def cmd_report(path: str) -> int:
     return 0
 
 
-# The flags of run, classify or certify that take a value.  argparse reads
+# The flags of run, classify and certify, each with its add_argument
+# keywords; build_parser gives each command the ones it reads.
+_FLAGS = {
+    "config": dict(help="INI-style config file"),
+    "model": dict(help="rgrwf | preferred_frame | local_hv"),
+    "n": dict(type=int, help="number of runs"),
+    "seed": dict(type=int, help=f"master seed (or ${SEED_ENV_VAR})"),
+    "frame": dict(type=float, help="frame rapidity chi"),
+    "a": dict(type=float, help="side A setting angle (radians)"),
+    "b": dict(type=float, help="side B setting angle (radians)"),
+    "out": dict(help="output directory"),
+    "csv": dict(action="store_true", help="also dump per-run flashes to CSV"),
+}
+
+# The flags that take a value: all but the store_true ones.  argparse reads
 # a value that starts with "-" and is not a plain negative number, such as
 # "-1e-3" or "-inf", as a flag of its own, so main() first joins each of
 # these flags, or a prefix that names one of them alone, to the token after
 # it ("--frame=-1e-3").
-_VALUE_FLAGS = ("--config", "--model", "--n", "--seed", "--frame", "--a", "--b", "--out")
+_VALUE_FLAGS = tuple(f"--{key}" for key, spec in _FLAGS.items() if "action" not in spec)
 
 
 def _join_flag_values(argv: list[str]) -> list[str]:
@@ -521,26 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
     # leaves it at this default
     parser.set_defaults(model=None, n=None, frame=None, a=None, b=None, csv=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "config": dict(help="INI-style config file"),
-        "model": dict(help="rgrwf | preferred_frame | local_hv"),
-        "n": dict(type=int, help="number of runs"),
-        "seed": dict(type=int, help=f"master seed (or ${SEED_ENV_VAR})"),
-        "frame": dict(type=float, help="frame rapidity chi"),
-        "a": dict(type=float, help="side A setting angle (radians)"),
-        "b": dict(type=float, help="side B setting angle (radians)"),
-        "out": dict(help="output directory"),
-        "csv": dict(action="store_true", help="also dump per-run flashes to CSV"),
-    }
     # each command takes only the flags it reads
     for name, keys in (
-        ("run", tuple(flags)),
+        ("run", tuple(_FLAGS)),
         ("classify", ("config", "model", "seed", "out")),
         ("certify", ("config", "seed", "out")),
     ):
         command = sub.add_parser(name)
         for key in keys:
-            command.add_argument(f"--{key}", **flags[key])
+            command.add_argument(f"--{key}", **_FLAGS[key])
     rep = sub.add_parser("report", help="re-render a previously written JSON report")
     rep.add_argument("path")
     return parser

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
-from .models import ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _run
+from .models import (
+    ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _simulate_run,
+)
 from .quantum import CHSH_ANGLES, SettingPair, flip_arms
 from .randomness import BITS_PER_UNIFORM, BitSource, mix_seed, random_bits
 
@@ -262,21 +264,21 @@ class JanusRealization:
 
     Bits are consumed 32 per uniform, pattern draws first (a
     settings-independent prefix), then channel decisions in the native
-    frame's temporal order.  ``bit_budget`` holds the most uniforms one
-    run under ``params`` can draw (models._max_draws), and at least
-    DEFAULT_BIT_BUDGET bits.
+    frame's temporal order.  ``model`` (a ModelId or its value) gives the
+    channel rule, so ``ModelId.LOCAL_HV`` wraps the local model instead.
+    ``bit_budget`` holds the most uniforms one run under ``params`` can
+    draw (models._max_draws), and at least DEFAULT_BIT_BUDGET bits.
     """
 
     native_frame: Frame
     params: ModelParams = field(default_factory=ModelParams)
+    model: ModelId = ModelId.RGRWF
     bit_budget: int = field(init=False)
-    channel_law: str = "quantum"  # or "local_hv": wrap the local model instead
 
     def __post_init__(self):
+        object.__setattr__(self, "model", ModelId(self.model))
         budget = max(DEFAULT_BIT_BUDGET, BITS_PER_UNIFORM * _max_draws(self.params))
         object.__setattr__(self, "bit_budget", budget)
-        if self.channel_law not in ("quantum", "local_hv"):
-            raise ValueError(f"unknown channel law {self.channel_law!r}")
 
 
 def janus_run(
@@ -285,13 +287,14 @@ def janus_run(
     bits: np.ndarray,
     record_trace: bool = True,
 ) -> ExperimentRun:
-    """One deterministic run: same law as the flash-collapse model, with
-    every draw inverted from the fixed bit string."""
+    """One deterministic run: the law of ``j.model``, with every draw
+    inverted from the fixed bit string."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (j.bit_budget,):
         raise ValueError(f"bits must have length {j.bit_budget}, got {bits.shape}")
-    model = ModelId.LOCAL_HV if j.channel_law == "local_hv" else ModelId.RGRWF
-    return _run(model, BitSource(bits), settings, j.native_frame, None, j.params, record_trace)
+    return _simulate_run(
+        j.model, BitSource(bits), settings, j.native_frame, None, j.params, record_trace
+    )
 
 
 @dataclass(frozen=True, eq=False)

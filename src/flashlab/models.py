@@ -188,24 +188,41 @@ def lhv_correlator(a: float, b: float) -> float:
     return -0.5 * (sawtooth(a - b, 2.0 * math.pi) + sawtooth(a - b, math.pi))
 
 
+class _Model(NamedTuple):
+    """What tells the models apart; both _simulate_run and the kernel read it."""
+
+    frame_ordered: bool  # decisions follow the requested frame, else the lab frame
+    local_channels: bool  # channels from shared randomness and the local setting only
+
+
+_MODELS: dict[ModelId, _Model] = {
+    ModelId.RGRWF: _Model(frame_ordered=True, local_channels=False),
+    ModelId.PREFERRED_FRAME: _Model(frame_ordered=False, local_channels=False),
+    ModelId.LOCAL_HV: _Model(frame_ordered=True, local_channels=True),
+}
+
+
 def _simulate_run(
+    model: ModelId,
     source,
-    settings: SettingPair,
-    params: ModelParams,
-    processing_rapidity: float,
-    report_frame: Frame,
+    settings,
+    frame: Frame,
     seed: int | None,
-    local_channels: bool,
+    params: ModelParams | None,
     record_trace: bool,
 ) -> ExperimentRun:
-    """Shared engine: Poisson flash pattern, then channel decisions.
+    """One run of ``model`` on the uniforms of ``source``: Poisson flash
+    pattern, then channel decisions.  The seeded runs and the Janus runs
+    both call it; the model's processing frame and channel rule come from
+    _MODELS.
 
     The pattern draws form a settings-independent prefix of the uniform
     stream; channel decisions consume uniforms strictly in the processing
     order (frame-time ascending, ties broken A < B then by index).
     """
-    # each draw is labelled by a tuple of parts, which only a BitSource
-    # that runs out joins into a name such as "channel_A4"
+    spec = _MODELS[model]
+    settings = _coerce_pair(settings)
+    params = params if params is not None else _DEFAULT_PARAMS
     uniform = source.uniform
     rate = params.flash_rate
 
@@ -213,37 +230,32 @@ def _simulate_run(
     pattern: list[tuple[int, int, float, float]] = []
     counts = [0, 0]
     for rank, region in enumerate(params.regions):
-        label = region.label
         t_span = region.t_max - region.t_min
         x_span = region.x_max - region.x_min
-        n = _poisson_inverse(uniform(("count_", label)), rate * t_span)
+        n = _poisson_inverse(uniform(), rate * t_span)
         counts[rank] = n
-        time_label, x_label = ("time_", label), ("x_", label)
-        times = sorted(region.t_min + t_span * uniform(time_label) for _ in range(n))
+        times = sorted(region.t_min + t_span * uniform() for _ in range(n))
         for idx, t in enumerate(times):
-            x = region.x_min + x_span * uniform(x_label)
+            x = region.x_min + x_span * uniform()
             pattern.append((rank, idx, t, x))
 
-    ch = math.cosh(processing_rapidity)
-    sh = math.sinh(processing_rapidity)
-    order = sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
-
     angles = (settings.a.angle, settings.b.angle)
-    channels: dict[tuple[int, int], int] = {}
     trace: list[PureState] = []
 
-    if local_channels:
-        lam = 2.0 * math.pi * uniform("hv_lambda")
-        mech = 0 if uniform("hv_mechanism") < 0.5 else 1
-        per_region = (
-            _lhv_channel(angles[0], lam, mech),
-            -_lhv_channel(angles[1], lam, mech),
-        )
-        for rank, idx, _, _ in order:
-            channels[(rank, idx)] = per_region[rank]
+    if spec.local_channels:
+        # every flash of a region has the region's channel, in any order
+        lam = 2.0 * math.pi * uniform()
+        mech = 0 if uniform() < 0.5 else 1
+        first = (_lhv_channel(angles[0], lam, mech), -_lhv_channel(angles[1], lam, mech))
+        channels = {(rank, idx): first[rank] for rank, idx, _, _ in pattern}
     else:
-        # scalar 2x2 amplitude matrix m[a_bit][b_bit]; kept as four complex
-        # scalars because this loop dominates the cost of large ensembles
+        rapidity = frame.rapidity if spec.frame_ordered else 0.0
+        ch = math.cosh(rapidity)
+        sh = math.sinh(rapidity)
+        order = sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
+        channels: dict[tuple[int, int], int] = {}
+        first: dict[int, int] = {}  # each region's first channel in processing order
+        # the 2x2 amplitude matrix m[a_bit][b_bit] as four complex scalars
         eps = params.epsilon
         amps = params.state.amplitudes
         m00, m01, m10, m11 = complex(amps[0]), complex(amps[1]), complex(amps[2]), complex(amps[3])
@@ -259,7 +271,7 @@ def _simulate_run(
             p_plus = (f0.real * f0.real + f0.imag * f0.imag) + (
                 f1.real * f1.real + f1.imag * f1.imag
             )
-            if uniform(("channel_", "AB"[rank], idx)) < p_plus:
+            if uniform() < p_plus:
                 value = 1
                 v0, v1 = c, s
                 g0, g1 = f0, f1
@@ -273,6 +285,7 @@ def _simulate_run(
                     g0 = m00 * v0 + m01 * v1
                     g1 = m10 * v0 + m11 * v1
             channels[(rank, idx)] = value
+            first.setdefault(rank, value)
             if rank == 0:
                 p00, p01, p10, p11 = v0 * g0, v0 * g1, v1 * g0, v1 * g1
             else:
@@ -292,8 +305,8 @@ def _simulate_run(
             if record_trace:
                 trace.append(PureState(np.array([m00, m01, m10, m11])))
 
-    rep_ch = math.cosh(report_frame.rapidity)
-    rep_sh = math.sinh(report_frame.rapidity)
+    rep_ch = math.cosh(frame.rapidity)
+    rep_sh = math.sinh(frame.rapidity)
     report = sorted(pattern, key=lambda p: (p[2] * rep_ch - p[3] * rep_sh, p[0], p[1]))
     labels = (params.regions[0].label, params.regions[1].label)
     flashes = tuple(
@@ -305,12 +318,8 @@ def _simulate_run(
         empty = tuple(labels[r] for r in (0, 1) if counts[r] == 0)
         raise InconclusiveRunError(empty, flashes)
 
-    first = {}
-    for rank, idx, _, _ in order:
-        if rank not in first:
-            first[rank] = channels[(rank, idx)]
     outcome = Outcome(alpha=first[0], beta=first[1])
-    return ExperimentRun(settings, report_frame, seed, flashes, outcome, tuple(trace))
+    return ExperimentRun(settings, frame, seed, flashes, outcome, tuple(trace))
 
 
 def _max_draws(params: ModelParams) -> int:
@@ -336,20 +345,6 @@ def _coerce_pair(settings) -> SettingPair:
     return SettingPair(a, b)
 
 
-class _Model(NamedTuple):
-    """What tells the models apart; both ``_run`` and the kernel read it."""
-
-    frame_ordered: bool  # decisions follow the requested frame, else the lab frame
-    local_channels: bool  # channels from shared randomness and the local setting only
-
-
-_MODELS: dict[ModelId, _Model] = {
-    ModelId.RGRWF: _Model(frame_ordered=True, local_channels=False),
-    ModelId.PREFERRED_FRAME: _Model(frame_ordered=False, local_channels=False),
-    ModelId.LOCAL_HV: _Model(frame_ordered=True, local_channels=True),
-}
-
-
 def run_model(
     model,
     settings,
@@ -367,22 +362,8 @@ def run_model(
     """
     if seed is None:
         raise ValueError("run_model needs a seed; a run without one cannot be replayed")
-    return _run(ModelId(model), GeneratorSource(seed), settings, frame, seed, params, record_trace)
-
-
-def _run(model: ModelId, source, settings, frame, seed, params, record_trace) -> ExperimentRun:
-    """One run of ``model`` on the uniforms of ``source``: the seeded runs
-    and the Janus runs both read the model's frame and channel rule here."""
-    spec = _MODELS[model]
     return _simulate_run(
-        source,
-        _coerce_pair(settings),
-        params if params is not None else _DEFAULT_PARAMS,
-        frame.rapidity if spec.frame_ordered else 0.0,
-        frame,
-        seed,
-        local_channels=spec.local_channels,
-        record_trace=record_trace,
+        ModelId(model), GeneratorSource(seed), settings, frame, seed, params, record_trace
     )
 
 
@@ -957,7 +938,4 @@ def _row_table(block: FlashBlock) -> np.ndarray:
 def _label_chars(labels: np.ndarray) -> np.ndarray:
     """The characters of each region label, NUL-padded, as numtext's
     functions give numbers'."""
-    codes = labels.view(np.uint32).reshape(labels.size, -1)
-    if codes.max() > 127:
-        raise ValueError("region labels must be ASCII")
-    return codes.astype(np.uint8)
+    return labels.view(np.uint32).reshape(labels.size, -1).astype(np.uint8)

@@ -29,22 +29,13 @@ BITS_PER_UNIFORM = 32
 
 
 class BitsExhausted(RuntimeError):
-    """A bit-driven run asked for more uniforms than its budget holds.
+    """A bit-driven run asked for more uniforms than its budget holds."""
 
-    ``label`` names the draw that starved, as a string or as a tuple of
-    parts that are joined here, so that draws only pay for the name when
-    one is needed.
-    """
-
-    def __init__(self, label, consumed: int, budget: int):
-        if isinstance(label, tuple):
-            label = "".join(map(str, label))
-        self.draw_label = label
+    def __init__(self, consumed: int, budget: int):
         self.consumed = consumed
         self.budget = budget
         super().__init__(
-            f"bit budget exhausted at draw {label!r}: "
-            f"{consumed} of {budget} bits already consumed"
+            f"bit budget exhausted: {consumed} of {budget} bits already consumed"
         )
 
 
@@ -74,7 +65,8 @@ class GeneratorSource:
     def __init__(self, seed: int):
         self._next = np.random.Generator(np.random.PCG64(seed)).random
 
-    def uniform(self, label: str | tuple = "") -> float:
+    def uniform(self, label: str = "") -> float:
+        # a label is accepted and ignored, as by BitSource
         return self._next()
 
 
@@ -83,8 +75,8 @@ class BitSource:
 
     Each uniform eats ``BITS_PER_UNIFORM`` = 32 bits, mapped MSB-first to
     u = word / 2^32, so resolution is 2^-32.  Once the string is spent,
-    further draws raise :class:`BitsExhausted` naming the draw that
-    starved.
+    further draws raise :class:`BitsExhausted`.  ``uniform`` accepts a
+    label, which names nothing and is ignored.
     """
 
     __slots__ = ("_words", "_pos", "_n_bits")
@@ -101,13 +93,9 @@ class BitSource:
         self._words = packed.view(">u4").astype(np.uint64)
         self._pos = 0
 
-    @property
-    def bits_consumed(self) -> int:
-        return self._pos * BITS_PER_UNIFORM
-
-    def uniform(self, label: str | tuple = "") -> float:
+    def uniform(self, label: str = "") -> float:
         if self._pos >= self._words.size:
-            raise BitsExhausted(label, self.bits_consumed, self._n_bits)
+            raise BitsExhausted(self._pos * BITS_PER_UNIFORM, self._n_bits)
         u = float(self._words[self._pos]) * _INV_2_32
         self._pos += 1
         return u

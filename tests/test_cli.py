@@ -154,6 +154,8 @@ def test_run_with_no_conclusive_run_writes_nothing(tmp_path, capsys, csv):
         ("classify", "frames_probe =", "frames_probe must be one or more numbers"),
         ("classify", "frames_probe = 0 25", "|rapidity| must be <= 20.0 (got 25.0)"),
         ("classify", "frames_probe = nan", "|rapidity| must be <= 20.0 (got nan)"),
+        ("classify", "frames_probe = 0 0.5",
+         "frames_probe must order the regions both ways; got earlier-region set ['B']"),
     ],
 )
 def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, command, entry,

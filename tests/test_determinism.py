@@ -22,9 +22,7 @@ from flashlab.determinism import (
     wigner_check,
 )
 from flashlab.minkowski import Frame, order_flip_rapidity
-from flashlab.models import (
-    EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, _run, ensembles,
-)
+from flashlab.models import EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, ensembles
 from flashlab.quantum import SettingPair
 from flashlab.randomness import BitsExhausted, BitSource, random_bits
 from flashlab.stats import chi2_homogeneity
@@ -283,20 +281,12 @@ def test_janus_matches_stochastic_law(n=20_000):
     assert res.p_value > 1e-3
 
 
-def test_bit_exhaustion_names_the_draw():
-    rng = np.random.default_rng(8)
-    starved = None
-    for _ in range(200):
-        bits = random_bits(rng, 1024)  # 32 uniforms only
-        try:
-            _run(ModelId.RGRWF, BitSource(bits), (0.0, 1.0), Frame(0.0), None, None, False)
-        except BitsExhausted as exc:
-            starved = exc
-            break
-        except InconclusiveRunError:
-            continue
-    assert starved is not None
-    assert starved.draw_label
+def test_bit_source_raises_once_its_bits_are_spent():
+    # 70 bits hold two whole 32-bit words; the last 6 make no uniform
+    source = BitSource(np.ones(70, dtype=np.uint8))
+    assert [source.uniform(), source.uniform()] == [(2**32 - 1) / 2**32] * 2
+    with pytest.raises(BitsExhausted, match="64 of 70 bits"):
+        source.uniform()
 
 
 def test_janus_budget_follows_the_flash_rate():
@@ -308,6 +298,11 @@ def test_janus_budget_follows_the_flash_rate():
     rng = np.random.default_rng(45)
     for _ in range(200):
         janus_run(j, (0.0, 1.0), random_bits(rng, j.bit_budget), record_trace=False)
+    # all ones draw the largest uniform every time, so each region gets the
+    # most flashes its Poisson table allows; 708 is the highest mean accepted
+    for rate in (5, 45, 708):
+        j = JanusRealization(Frame(0.0), ModelParams(flash_rate=rate))
+        janus_run(j, (0.0, 1.0), np.ones(j.bit_budget, dtype=np.uint8), record_trace=False)
 
 
 def test_witness_found_in_order_flip_frame():
@@ -344,7 +339,7 @@ def test_no_witness_in_native_frame():
 
 
 def test_local_hv_realization_has_no_witness_anywhere():
-    j = JanusRealization(Frame(0.0), channel_law="local_hv")
+    j = JanusRealization(Frame(0.0), model=ModelId.LOCAL_HV)
     ra, rb = j.params.regions
     flip = order_flip_rapidity(ra.center(), rb.center())
     assert past_influence_probe(j, flip, 2000, master_seed=35) is None

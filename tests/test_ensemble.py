@@ -584,6 +584,34 @@ def test_plane_states_straddle_the_boundary():
     assert np.count_nonzero(states["tiny_imaginary"].imag) == 1
 
 
+class ScriptedSource:
+    """A uniform source that returns the given draws in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def uniform(self, label=""):
+        return next(self._draws)
+
+
+def test_tiny_imaginary_part_decides_a_channel():
+    # at side A angle 0 the + channel has probability |1e-10j|^2 = 1e-20, so
+    # the draw 5e-21 gives +1 only if the collapse keeps the imaginary part,
+    # which no magnitude threshold between 1e-10 and 1 would do
+    params = ModelParams(state=PureState(np.array([1e-10j, 0, math.sqrt(0.5), math.sqrt(0.5)])))
+    # one flash per region (at mean 5, 0.02 draws a count of 1): A at
+    # t = 0.1, then B at t = 0.9
+    pattern = (0.02, 0.1, 0.5, 0.02, 0.9, 0.5)
+    draws = (5e-21, 0.5)
+    run = models._simulate_run(ModelId.RGRWF, ScriptedSource(pattern + draws), (0.0, 0.0),
+                               Frame(0.0), None, params, False)
+    trig = np.array([[[1.0], [0.0]]] * 2)  # cos and sin of half of each angle 0
+    plus = models._collapse(params, trig, np.array([[True], [False]]),
+                            np.array(draws)[:, None], [1, 1])
+    assert run.outcome.alpha == 1
+    assert (run.outcome.alpha, run.outcome.beta) == tuple(np.where(plus[:, 0], 1, -1))
+
+
 @pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
 @pytest.mark.parametrize("state", list(PLANE_STATES))
 def test_kernel_matches_scalar_either_side_of_one_plane(model, state):
