@@ -15,11 +15,6 @@ from .classify import (
     TestResult,
     classify,
     default_frames_probe,
-    test_effective_causality,
-    test_effective_locality,
-    test_locality,
-    test_no_signalling,
-    test_qf,
 )
 from .determinism import (
     Certificate,
@@ -27,7 +22,6 @@ from .determinism import (
     DeterministicStrategy,
     InfluenceEvidence,
     JanusRealization,
-    StrategyMixture,
     chsh_of,
     enumerate_strategies,
     epr_filter,

@@ -35,7 +35,7 @@ from .models import (
     _coerce_pair,
     ensembles,
 )
-from .quantum import CHSH_ANGLES, born_joint, flip_arms
+from .quantum import CHSH_ANGLES, SIDES, born_joint, flip_arms
 from .randomness import mix_seed
 from .stats import bonferroni, chi2_gof, chi2_homogeneity
 
@@ -112,10 +112,15 @@ _QUARTER = math.pi / 4
 class ClassifyConfig:
     """Sample sizes, qf grid and probe frames for one classification report.
 
-    Defaults are sized so that each verdict is wrong with probability
-    well below 1e-2 per report: the chi-square tests run at significance
-    1e-3 (Bonferroni-corrected), the CHSH verdict uses 5-standard-error
-    decision bands around 2, and the flip tests are noise-free.
+    The defaults aim at a per-report error rate of each verdict well
+    below 1e-2, by design: the chi-square tests run at significance 1e-3
+    after a Bonferroni correction over their cells, the CHSH verdict
+    decides only outside 5-standard-error bands around 2, and the flip
+    tests have no noise, as a model that does not transmit flips no pair.
+    The only check of the rate is acceptance criterion 6
+    (tests/test_acceptance.py::test_criterion_06_classification_table),
+    the README table on 5 master seeds for each of the 3 models; ROADMAP
+    item 7 plans its calibration.
     """
 
     master_seed: int = 1
@@ -139,16 +144,11 @@ def default_frames_probe(params: ModelParams) -> tuple[Frame, ...]:
 
 def params_digest(params: ModelParams) -> str:
     state = ",".join(repr(complex(z)) for z in params.state.amplitudes)
-    ra, rb = params.regions
-    blob = "|".join(
-        [
-            state,
-            repr(params.flash_rate),
-            repr(params.epsilon),
-            f"{ra.label}:{ra.t_min},{ra.t_max},{ra.x_min},{ra.x_max}",
-            f"{rb.label}:{rb.t_min},{rb.t_max},{rb.x_min},{rb.x_max}",
-        ]
-    )
+    boxes = [
+        f"{side}:{r.t_min},{r.t_max},{r.x_min},{r.x_max}"
+        for side, r in zip(SIDES, params.regions)
+    ]
+    blob = "|".join([state, repr(params.flash_rate), repr(params.epsilon), *boxes])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -184,6 +184,19 @@ def _cell_requests(pairs, n: int, master_seed: int) -> list:
     ]
 
 
+def _cells_plan(name: str, threshold: float, requests, decide) -> _Plan:
+    """A plan over one-arm requests whose verdict is ``decide``'s, unless
+    a request has no conclusive run: then there is nothing to compare, and
+    the test is INCONCLUSIVE with statistic and p_bound NaN."""
+
+    def verdict(counts) -> TestResult:
+        if any(not joint.any() for joint, _ in counts):
+            return TestResult(name, math.nan, threshold, math.nan, INCONCLUSIVE)
+        return decide(counts)
+
+    return _Plan(requests, verdict)
+
+
 def _gated(ok: bool, dropped: int, total: int) -> str:
     """PASS iff ok, else FAIL; INCONCLUSIVE when no run was made or more
     than _MAX_INCONCLUSIVE_FRACTION of them were dropped."""
@@ -213,7 +226,7 @@ def _qf_plan(params: ModelParams, settings_grid, n: int, master_seed: int) -> _P
             details={"cells": len(grid), "p_values": p_values},
         )
 
-    return _Plan(requests, decide)
+    return _cells_plan("qf_agreement", _ALPHA, requests, decide)
 
 
 def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int) -> TestResult:
@@ -251,7 +264,7 @@ def _no_signalling_plan(n: int, master_seed: int) -> _Plan:
             details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
         )
 
-    return _Plan(requests, decide)
+    return _cells_plan("no_signalling", _ALPHA, requests, decide)
 
 
 def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
@@ -274,8 +287,6 @@ def _locality_plan(n: int, master_seed: int) -> _Plan:
         var = 0.0
         for sign, (joint, dropped) in zip((+1, -1, +1, +1), counts):
             m = n - dropped
-            if m == 0:
-                raise RuntimeError("no conclusive runs for CHSH estimation")
             pp, pm, mp, mm = joint.tolist()
             e = (pp - pm - mp + mm) / m
             s_hat += sign * e
@@ -300,7 +311,7 @@ def _locality_plan(n: int, master_seed: int) -> _Plan:
             details={"S": s_hat, "se": se},
         )
 
-    return _Plan(requests, decide)
+    return _cells_plan("locality", 2.0, requests, decide)
 
 
 def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestResult:

@@ -230,9 +230,8 @@ class RunConfig:
                 f"{self._anchor('regions', key)}: {key} needs 4 numbers "
                 "(t_min t_max x_min x_max)"
             )
-        label = "A" if key == "a_box" else "B"
         try:
-            return Region(label, *(float(p) for p in parts))
+            return Region(*(float(p) for p in parts))
         except ValueError as exc:
             raise ConfigError(f"{self._anchor('regions', key)}: {exc}") from exc
 

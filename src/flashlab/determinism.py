@@ -28,10 +28,9 @@ from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, 
 from .models import (
     ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _simulate_run,
 )
-from .quantum import CHSH_ANGLES, SettingPair, flip_arms
+from .quantum import CHSH_ANGLES, SettingPair, _angle, flip_arms
 from .randomness import BITS_PER_UNIFORM, BitSource, mix_seed, random_bits
 
-_TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-12
 
 MAX_K_BITS = 10
@@ -78,28 +77,8 @@ class DeterministicStrategy:
         return replace(self, table_a=self.table_a[rows], table_b=self.table_b[rows])
 
 
-@dataclass(frozen=True, eq=False)
-class StrategyMixture:
-    """Convex mixture of the strategies of one stack."""
-
-    strategies: DeterministicStrategy
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.strategies),) or len(self.strategies) == 0:
-            raise ValueError("need one weight per strategy")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "weights", w)
-
-
-def _norm_angle(theta: float) -> float:
-    return float(theta) % _TWO_PI
-
-
 def _default_settings(n: int, offset: float) -> tuple[float, ...]:
-    return tuple(_norm_angle(offset + i * math.pi / 2) for i in range(n))
+    return tuple(_angle(offset + i * math.pi / 2) for i in range(n))
 
 
 def _side_tables(n_settings: int, k_bits: int) -> np.ndarray:
@@ -146,8 +125,8 @@ def enumerate_strategies(
             f"enumeration guard: would require 2^{(n_a + n_b) << k_bits} strategies "
             f"(limit {MAX_TOTAL_STRATEGIES})"
         )
-    sa = tuple(_norm_angle(t) for t in settings_a) if settings_a else _default_settings(n_a, 0.0)
-    sb = tuple(_norm_angle(t) for t in settings_b) if settings_b else _default_settings(n_b, math.pi / 4)
+    sa = tuple(_angle(t) for t in settings_a) if settings_a else _default_settings(n_a, 0.0)
+    sb = tuple(_angle(t) for t in settings_b) if settings_b else _default_settings(n_b, math.pi / 4)
     if len(sa) != n_a or len(sb) != n_b:
         raise ValueError("settings lists must match n_a, n_b")
     tables_a = _side_tables(n_a, k_bits)
@@ -162,23 +141,22 @@ def enumerate_strategies(
 
 
 def _match_setting(settings: tuple[float, ...], theta: float) -> int:
-    target = _norm_angle(theta)
+    target = _angle(theta)
     for i, s in enumerate(settings):
         delta = abs(s - target)
-        if min(delta, _TWO_PI - delta) <= _ANGLE_TOL:
+        if min(delta, math.tau - delta) <= _ANGLE_TOL:
             return i
     raise ValueError(f"strategy does not use setting {theta!r}; has {settings}")
 
 
-def chsh_of(strategies, angles: tuple = CHSH_ANGLES) -> np.ndarray | float:
+def chsh_of(strategies: DeterministicStrategy, angles: tuple = CHSH_ANGLES) -> np.ndarray:
     """CHSH value E(a,b) - E(a,b') + E(a',b) + E(a',b') of every strategy
     of a stack, as a float array, averaging products over the uniform bit
-    string; for a StrategyMixture, the weighted sum of its values.
+    string.  A convex mixture of the stack's strategies has the weighted
+    sum of their values, ``weights @ chsh_of(stack)``.
 
     The strategies must use exactly the two given settings per side.
     """
-    if isinstance(strategies, StrategyMixture):
-        return float(strategies.weights @ chsh_of(strategies.strategies, angles))
     if len(strategies.settings_a) != 2 or len(strategies.settings_b) != 2:
         raise ValueError("CHSH needs exactly 2 settings per side")
     a, a_p, b, b_p = angles
@@ -371,10 +349,8 @@ def influence_witness_search(
             continue
         earlier = _first_region_in_frame(run1, probe_frame)
         pairs = flip_arms(earlier)
-        try:
-            run2 = janus_run(j, pairs[1], bits, record_trace=False)
-        except InconclusiveRunError:
-            continue
+        # the same bits give the same flash pattern, so this run is conclusive too
+        run2 = janus_run(j, pairs[1], bits, record_trace=False)
         o1 = run1.outcome.beta if earlier == "B" else run1.outcome.alpha
         o2 = run2.outcome.beta if earlier == "B" else run2.outcome.alpha
         if o1 != o2:

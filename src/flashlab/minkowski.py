@@ -15,13 +15,12 @@ from dataclasses import dataclass
 RAPIDITY_LIMIT = 20.0  # cosh(20) ~ 2.4e8 keeps double precision meaningful
 TIE_TOLERANCE = 1e-12
 
-_REGION_RANK = {"A": 0, "B": 1}
-
 
 class SimultaneityTie(Exception):
     """Boosted times agree within tolerance; caller must tie-break.
 
-    The convention everywhere in this package is region label A < B.
+    The tie rule everywhere in this package is A before B by position:
+    the first region of ``ModelParams.regions`` is A, the second B.
     """
 
     def __init__(self, e1: "Event", e2: "Event", frame: "Frame"):
@@ -29,7 +28,7 @@ class SimultaneityTie(Exception):
         self.frame = frame
         super().__init__(
             f"events {e1} and {e2} are simultaneous in frame {frame} "
-            f"within {TIE_TOLERANCE}; apply the region-label rule A < B"
+            f"within {TIE_TOLERANCE}; apply the rule A before B"
         )
 
 
@@ -67,9 +66,9 @@ class Frame:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned space-time box in lab coordinates, labelled A or B."""
+    """Axis-aligned space-time box in lab coordinates.  Its role, A or B,
+    is its position in ``ModelParams.regions``."""
 
-    label: str
     t_min: float
     t_max: float
     x_min: float
@@ -78,8 +77,6 @@ class Region:
     def __post_init__(self):
         for name in ("t_min", "t_max", "x_min", "x_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.label not in _REGION_RANK:
-            raise ValueError(f"region label must be 'A' or 'B', got {self.label!r}")
         if not self.t_min < self.t_max:
             raise ValueError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not self.x_min < self.x_max:
@@ -130,7 +127,7 @@ def precedes(e1: Event, e2: Event, f: Frame) -> bool:
     """True iff e1 happens before e2 in frame f.
 
     Raises SimultaneityTie when the boosted times agree within
-    TIE_TOLERANCE; the caller applies the region-label rule.
+    TIE_TOLERANCE; the caller applies the rule A before B.
     """
     t1 = boost_time(e1.t, e1.x, f.rapidity)
     t2 = boost_time(e2.t, e2.x, f.rapidity)

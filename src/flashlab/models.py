@@ -47,12 +47,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .minkowski import Event, Frame, Region, regions_spacelike
-from .quantum import BASIS, Outcome, PureState, SettingPair, singlet
+from .quantum import BASIS, SIDES, Outcome, PureState, SettingPair, singlet
 from .randomness import GeneratorSource, PCG64Streams, _mix_seed_rows
 
 DEFAULT_FLASH_RATE = 5.0
-DEFAULT_REGION_A = Region("A", 0.0, 1.0, -11.0, -10.0)
-DEFAULT_REGION_B = Region("B", 0.0, 1.0, 10.0, 11.0)
+DEFAULT_REGION_A = Region(0.0, 1.0, -11.0, -10.0)
+DEFAULT_REGION_B = Region(0.0, 1.0, 10.0, 11.0)
 
 # Largest expected flash count per region.  Above it exp(-mean) is no
 # longer a normal double and the Poisson inversion loses its mass.
@@ -96,7 +96,18 @@ class Flash:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration shared by all models."""
+    """Physical configuration shared by all models.
+
+    ``regions`` holds region A, then region B: a region's role is its
+    position, named by quantum.SIDES.
+
+    ``epsilon`` softens each collapse toward the state before it.  The
+    softening steps follow the processing frame's order, so at epsilon > 0
+    the outcome law of rgrwf depends on the frame it runs in: at 0.1 and
+    settings (0, pi/4) the correlator is -0.696524 in the lab frame and
+    -0.699855 at rapidity 0.5.  At epsilon = 0 it is the Born law in every
+    frame.
+    """
 
     state: PureState = field(default_factory=singlet)
     flash_rate: float = DEFAULT_FLASH_RATE
@@ -109,15 +120,13 @@ class ModelParams:
         if not 0.0 <= self.epsilon <= 0.1:
             raise ValueError(f"epsilon must lie in [0, 0.1], got {self.epsilon}")
         ra, rb = self.regions
-        if (ra.label, rb.label) != ("A", "B"):
-            raise ValueError("regions must be given as (A-region, B-region)")
         if not regions_spacelike(ra, rb):
             raise ValueError("regions must be spacelike separated")
-        for region in self.regions:
+        for side, region in zip(SIDES, self.regions):
             mean = self.flash_rate * (region.t_max - region.t_min)
             if mean > MAX_FLASH_MEAN:
                 raise ValueError(
-                    f"flash_rate x time span of region {region.label} is {mean:g}; "
+                    f"flash_rate x time span of region {side} is {mean:g}; "
                     f"the Poisson sampler needs at most {MAX_FLASH_MEAN:g}"
                 )
 
@@ -218,7 +227,7 @@ def _simulate_run(
 
     The pattern draws form a settings-independent prefix of the uniform
     stream; channel decisions consume uniforms strictly in the processing
-    order (frame-time ascending, ties broken A < B then by index).
+    order, the _frame_order of the processing frame.
     """
     spec = _MODELS[model]
     settings = _coerce_pair(settings)
@@ -249,10 +258,7 @@ def _simulate_run(
         first = (_lhv_channel(angles[0], lam, mech), -_lhv_channel(angles[1], lam, mech))
         channels = {(rank, idx): first[rank] for rank, idx, _, _ in pattern}
     else:
-        rapidity = frame.rapidity if spec.frame_ordered else 0.0
-        ch = math.cosh(rapidity)
-        sh = math.sinh(rapidity)
-        order = sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
+        order = _frame_order(pattern, frame.rapidity if spec.frame_ordered else 0.0)
         channels: dict[tuple[int, int], int] = {}
         first: dict[int, int] = {}  # each region's first channel in processing order
         # the 2x2 amplitude matrix m[a_bit][b_bit] as four complex scalars
@@ -305,21 +311,26 @@ def _simulate_run(
             if record_trace:
                 trace.append(PureState(np.array([m00, m01, m10, m11])))
 
-    rep_ch = math.cosh(frame.rapidity)
-    rep_sh = math.sinh(frame.rapidity)
-    report = sorted(pattern, key=lambda p: (p[2] * rep_ch - p[3] * rep_sh, p[0], p[1]))
-    labels = (params.regions[0].label, params.regions[1].label)
     flashes = tuple(
-        Flash(Event(t, x), labels[rank], channels[(rank, idx)], idx)
-        for rank, idx, t, x in report
+        Flash(Event(t, x), SIDES[rank], channels[(rank, idx)], idx)
+        for rank, idx, t, x in _frame_order(pattern, frame.rapidity)
     )
 
     if counts[0] == 0 or counts[1] == 0:
-        empty = tuple(labels[r] for r in (0, 1) if counts[r] == 0)
+        empty = tuple(side for side, n in zip(SIDES, counts) if n == 0)
         raise InconclusiveRunError(empty, flashes)
 
     outcome = Outcome(alpha=first[0], beta=first[1])
     return ExperimentRun(settings, frame, seed, flashes, outcome, tuple(trace))
+
+
+def _frame_order(pattern, rapidity: float) -> list:
+    """The (region_rank, index, t_lab, x_lab) flashes of ``pattern`` in
+    frame-time order in the frame of ``rapidity``, ties broken A before B,
+    then by index."""
+    ch = math.cosh(rapidity)
+    sh = math.sinh(rapidity)
+    return sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
 
 
 def _max_draws(params: ModelParams) -> int:
@@ -628,7 +639,7 @@ def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
 def _time_order(keys: np.ndarray) -> np.ndarray:
     # columns run A 0..nA-1, padding, B 0..nB-1, padding, and padding sorts
     # last; a stable sort on the frame time then breaks ties by region and
-    # index, the (key, rank, idx) order of _simulate_run
+    # index, the _frame_order of _simulate_run
     return np.argsort(keys, axis=1, kind="stable")
 
 
@@ -736,7 +747,7 @@ class FlashBlock(NamedTuple):
     inconclusive run has none."""
 
     run_id: np.ndarray
-    region: np.ndarray  # region label
+    region: np.ndarray  # "A" or "B"
     index: np.ndarray  # ordinal within its region, lab-time order
     t_lab: np.ndarray
     x_lab: np.ndarray
@@ -761,7 +772,7 @@ def _flash_block(
     in_b = col >= block.width_a
     return FlashBlock(
         run_id=first_id + run,
-        region=np.where(in_b, params.regions[1].label, params.regions[0].label),
+        region=np.where(in_b, SIDES[1], SIDES[0]),
         index=col - block.width_a * in_b,
         t_lab=t[run, col],
         x_lab=x[run, col],

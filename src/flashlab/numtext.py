@@ -93,7 +93,16 @@ def _shortest(mag: np.ndarray):
     """repr's digits of each magnitude: ``(q, digits, point, sure)`` with
     mag read back from 0.d1 d2 ... dn x 10^point, d1 ... dn the n =
     ``digits`` decimal digits of q, the last nonzero.  Where ``sure`` is
-    False they are those of 1.0, and the caller must ask repr."""
+    False they are those of 1.0, and the caller must ask repr.
+
+    The last digit of q is never 0.  If the candidate q at level m ended
+    in 0, q 10^m would be a multiple of 10^(m + 1), and so the candidate
+    at level m + 1 too, q / 10.  Its computed distance would be the same
+    double, as ``up * step - rest`` in _nearest is the same exact integer,
+    q 10^m - whole, at both levels; so level m + 1 would read back as
+    well, and the search would not have stopped at m.  It stops only at a
+    q with no trailing zero, and an unsure value gets q = 1.
+    """
     sure, k, whole, lo, half_ulp = _scaled(mag)
     # level m rounds whole + lo to a multiple of 10^m, 17 - m digits; level
     # 0 always reads back, as its distance is at most 1/2 < 1e16 / 2^54
@@ -113,11 +122,6 @@ def _shortest(mag: np.ndarray):
     # a tie: the candidate on the other side is as near
     sure &= _POW10[level] - 2.0 * distance > _MARGIN
     q[~sure] = 1
-    tens = np.flatnonzero(q % 10 == 0)
-    while tens.size:
-        q[tens] //= 10
-        level[tens] += 1
-        tens = tens[q[tens] % 10 == 0]
     # q 10^level is within 1 of [1e16, 1e17], so q has 17 - level digits
     # unless it rounded up to a power of ten or lies just below 1e16
     digits = (17 - level) + (q >= _POW10[17 - level]) - (q < _POW10[np.maximum(16 - level, 0)])

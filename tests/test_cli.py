@@ -320,6 +320,29 @@ def test_classify_row_and_json(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("model", ["rgrwf", "preferred_frame", "local_hv"])
+def test_classify_with_no_conclusive_run_is_inconclusive(tmp_path, capsys, model):
+    # about one run in 10^6 is conclusive at this rate, so every settings
+    # cell and flip probe is empty: the three tests over cells report NaN
+    cfg = tmp_path / "rare.ini"
+    cfg.write_text(
+        f"[experiment]\nmodel = {model}\nflash_rate = 0.001\n"
+        "[classify]\nn_qf = 20\nn_nosig = 20\nn_locality = 20\nn_eff = 20\n"
+    )
+    assert run_cli("classify", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"{model}: qf ? | nosig ? | local ? | eff-local ? | eff-causal ?\n"
+    path = tmp_path / f"classify_{model}.json"
+    tests = json.loads(path.read_text())["tests"]
+    assert [t["verdict"] for t in tests] == ["inconclusive"] * 5
+    assert all(math.isnan(t["statistic"]) and math.isnan(t["p_bound"]) for t in tests[:3])
+    assert run_cli("report", str(path)) == 0
+    assert "locality               statistic nan  threshold 2  p nan  inconclusive" in (
+        capsys.readouterr().out
+    )
+
+
 def test_certify_and_reports(tmp_path, capsys):
     cfg = tmp_path / "cert.ini"
     cfg.write_text(

@@ -11,7 +11,6 @@ from flashlab.determinism import (
     DeterministicStrategy,
     InfluenceEvidence,
     JanusRealization,
-    StrategyMixture,
     chsh_of,
     enumerate_strategies,
     epr_filter,
@@ -71,9 +70,7 @@ def test_mixtures_never_beat_pure_max():
     for _ in range(300):
         members = rng.choice(len(strategies), size=5, replace=False)
         weights = rng.dirichlet(np.ones(5))
-        mix = StrategyMixture(strategies[members], weights)
-        value = chsh_of(mix)
-        assert isinstance(value, float)
+        value = float(weights @ chsh_of(strategies[members]))
         pure = [chsh_of(strategies[i]).item() for i in members]
         assert value == pytest.approx(sum(w * v for w, v in zip(weights, pure)), abs=1e-12)
         assert value <= 2.0 + 1e-12
@@ -325,6 +322,22 @@ def test_witness_replays_from_bits():
         run = janus_run(j, pair, w.witness_bits, record_trace=False)
         outs.append(run.outcome.beta if w.region == "B" else run.outcome.alpha)
     assert tuple(outs) == w.outcomes
+
+
+def test_witness_in_region_a_for_a_b_first_realization():
+    ra, rb = ModelParams().regions
+    native = order_flip_rapidity(ra.center(), rb.center())  # chi = 10 puts B first
+    probe = Frame(-native.rapidity)  # and chi = -10 puts A first
+    j = JanusRealization(native)
+    w = past_influence_probe(j, probe, 1000, master_seed=5)
+    assert w is not None and w.region == "A"
+    alphas = tuple(
+        janus_run(j, pair, w.witness_bits, record_trace=False).outcome.alpha
+        for pair in w.setting_pairs
+    )
+    assert alphas == w.outcomes and alphas[0] != alphas[1]
+    local = JanusRealization(native, model=ModelId.LOCAL_HV)
+    assert past_influence_probe(local, probe, 1000, master_seed=5) is None
 
 
 def test_probe_requires_order_reversal():

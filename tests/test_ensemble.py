@@ -391,8 +391,8 @@ def model_params(draw, rates=st.floats(0.05, 12.0)):
     reach = max(t_min + span_a, t_b + span_b) - min(t_min, t_b)
     x_b = x_a + width_a + reach + draw(st.floats(0.1, 5.0))
     regions = (
-        Region("A", t_min, t_min + span_a, x_a, x_a + width_a),
-        Region("B", t_b, t_b + span_b, x_b, x_b + draw(st.floats(0.1, 2.0))),
+        Region(t_min, t_min + span_a, x_a, x_a + width_a),
+        Region(t_b, t_b + span_b, x_b, x_b + draw(st.floats(0.1, 2.0))),
     )
     seed = draw(st.integers(0, 2**32 - 1))
     return ModelParams(

@@ -85,23 +85,23 @@ def test_frame_guard():
 
 def test_region_validation():
     with pytest.raises(ValueError):
-        Region("C", 0, 1, 0, 1)
+        Region(1, 0, 0, 1)
     with pytest.raises(ValueError):
-        Region("A", 1, 0, 0, 1)
+        Region(0, 1, 1, 0)
 
 
 def test_regions_spacelike_examples():
-    a = Region("A", 0, 1, 0, 1)
-    far = Region("B", 0, 1, 10, 11)    # max dt = 1 < min dx = 9
-    near = Region("B", 5, 6, 2, 3)     # corner (1,1)-(5,2) is timelike
+    a = Region(0, 1, 0, 1)
+    far = Region(0, 1, 10, 11)    # max dt = 1 < min dx = 9
+    near = Region(5, 6, 2, 3)     # corner (1,1)-(5,2) is timelike
     assert regions_spacelike(a, far)
     assert not regions_spacelike(a, near)
-    assert not regions_spacelike(a, Region("B", 0, 1, 0, 1))  # identical boxes
+    assert not regions_spacelike(a, Region(0, 1, 0, 1))  # identical boxes
 
 
 def test_region_frame_order():
-    a = Region("A", 0, 1, -11, -10)
-    b = Region("B", 0, 1, 10, 11)
+    a = Region(0, 1, -11, -10)
+    b = Region(0, 1, 10, 11)
     assert region_frame_order(a, b, Frame(0.0)) is None
     assert region_frame_order(a, b, Frame(-0.5)) == "A"
     assert region_frame_order(a, b, Frame(0.5)) == "B"

@@ -14,6 +14,8 @@ from flashlab.models import (
     ModelId,
     ModelParams,
     EnsembleRequest,
+    _lhv_channel,
+    _lhv_plus,
     _poisson_inverse,
     ensembles,
     lhv_correlator,
@@ -53,7 +55,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(epsilon=0.2)
     with pytest.raises(ValueError):
-        ModelParams(regions=(Region("A", 0, 1, 0, 1), Region("B", 0, 1, 1.5, 2.5)))
+        ModelParams(regions=(Region(0, 1, 0, 1), Region(0, 1, 1.5, 2.5)))
 
 
 @pytest.mark.parametrize("rate", [760.0, math.inf, math.nan])
@@ -66,8 +68,8 @@ def test_params_reject_runaway_flash_rate(rate):
 
 def test_params_bound_flash_mean_per_region():
     ModelParams(flash_rate=700.0)
-    wide_a = Region("A", 0.0, 2.0, -11.0, -10.0)
-    far_b = Region("B", 0.0, 1.0, 20.0, 21.0)
+    wide_a = Region(0.0, 2.0, -11.0, -10.0)
+    far_b = Region(0.0, 1.0, 20.0, 21.0)
     ModelParams(flash_rate=354.0, regions=(wide_a, far_b))
     with pytest.raises(ValueError, match="region A"):
         ModelParams(flash_rate=400.0, regions=(wide_a, far_b))
@@ -254,6 +256,21 @@ def test_local_hv_chsh_within_local_bound(n=20_000):
         e[(x, y)] = _correlator(_counts(ModelId.LOCAL_HV, (x, y), LAB, n, mix_seed(91, i))[0])
     s = e[(a, b)] - e[(a, b_p)] + e[(a_p, b)] + e[(a_p, b_p)]
     assert abs(s) <= 2.0 + 0.02
+
+
+def test_lhv_plus_near_a_sign_change_matches_the_scalar_channel():
+    # arguments within 1e-12 of +-pi/2, where np.cos may differ from
+    # math.cos in the last bit and the kernel redoes the value with math.cos
+    rng = np.random.default_rng(17)
+    lam = 2.0 * math.pi * rng.random(400)
+    offset = rng.uniform(-1e-12, 1e-12, 400)
+    quarter = np.where(rng.random(400) < 0.5, math.pi / 2, -math.pi / 2)
+    for mech, theta in ((0, lam + quarter + offset), (1, lam + (quarter + offset) / 2)):
+        arg = theta - lam if mech == 0 else 2.0 * (theta - lam)
+        assert np.all(np.abs(np.cos(arg)) < 1e-9)
+        mechanism = np.full(400, bool(mech))
+        scalar = [_lhv_channel(t, l, mech) == 1 for t, l in zip(theta.tolist(), lam.tolist())]
+        assert _lhv_plus(theta, lam, mechanism).tolist() == scalar
 
 
 def test_ensembles_reproducible():
