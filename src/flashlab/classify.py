@@ -112,6 +112,11 @@ _QUARTER = math.pi / 4
 class ClassifyConfig:
     """Sample sizes, qf grid and probe frames for one classification report.
 
+    A test is INCONCLUSIVE when no run was made, when more than 5% of its
+    runs were dropped (_MAX_INCONCLUSIVE_FRACTION), or, with statistic and
+    p_bound NaN, when a cell test (qf_agreement, no_signalling, locality)
+    has a settings cell with no conclusive run.
+
     The defaults aim at a per-report error rate of each verdict well
     below 1e-2, by design: the chi-square tests run at significance 1e-3
     after a Bonferroni correction over their cells, the CHSH verdict
@@ -152,19 +157,37 @@ def params_digest(params: ModelParams) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# Each test is a _Plan: the ensemble requests it needs, and its verdict
-# from their counts.  A test_* function runs its own plan; classify()
-# stacks the requests of all five plans, so that the kernel sweeps the
-# one-arm requests together and the two-arm flip probes together.
-
-
 class _Plan(NamedTuple):
+    """A test's ensemble requests, and its verdict from their counts.  A
+    test_* function runs its own plan; classify() stacks the requests of
+    all five, so that the kernel sweeps the one-arm requests together and
+    the two-arm flip probes together."""
+
     requests: list[EnsembleRequest]
     verdict: Callable[[list[tuple]], TestResult]  # from ensembles() of the requests
 
+    def run(self, model, params: ModelParams) -> TestResult:
+        return self.verdict(ensembles(model, self.requests, params))
 
-def _run(model, params: ModelParams, plan: _Plan) -> TestResult:
-    return plan.verdict(ensembles(model, plan.requests, params))
+
+def _plan(name: str, threshold: float, requests, decide, cells: bool = True) -> _Plan:
+    """Test ``name``'s plan, whose verdict is ``decide(counts)``'s
+    ``(statistic, p_bound, verdict, details)``, made INCONCLUSIVE when no
+    run was made or more than _MAX_INCONCLUSIVE_FRACTION of the runs were
+    dropped.  In a cell test (``cells``) a request with no conclusive run
+    leaves nothing to compare: the test is INCONCLUSIVE with statistic and
+    p_bound NaN."""
+    total = sum(r.n for r in requests)
+
+    def result(counts) -> TestResult:
+        if cells and any(not joint.any() for joint, _ in counts):
+            return TestResult(name, math.nan, threshold, math.nan, INCONCLUSIVE)
+        statistic, p_bound, verdict, details = decide(counts)
+        if total == 0 or sum(d for _, d in counts) > _MAX_INCONCLUSIVE_FRACTION * total:
+            verdict = INCONCLUSIVE
+        return TestResult(name, statistic, threshold, p_bound, verdict, details)
+
+    return _Plan(requests, result)
 
 
 def collect_samples(
@@ -184,49 +207,21 @@ def _cell_requests(pairs, n: int, master_seed: int) -> list:
     ]
 
 
-def _cells_plan(name: str, threshold: float, requests, decide) -> _Plan:
-    """A plan over one-arm requests whose verdict is ``decide``'s, unless
-    a request has no conclusive run: then there is nothing to compare, and
-    the test is INCONCLUSIVE with statistic and p_bound NaN."""
-
-    def verdict(counts) -> TestResult:
-        if any(not joint.any() for joint, _ in counts):
-            return TestResult(name, math.nan, threshold, math.nan, INCONCLUSIVE)
-        return decide(counts)
-
-    return _Plan(requests, verdict)
-
-
-def _gated(ok: bool, dropped: int, total: int) -> str:
-    """PASS iff ok, else FAIL; INCONCLUSIVE when no run was made or more
-    than _MAX_INCONCLUSIVE_FRACTION of them were dropped."""
-    if total == 0 or dropped > _MAX_INCONCLUSIVE_FRACTION * total:
-        return INCONCLUSIVE
-    return PASS if ok else FAIL
-
-
 def _qf_plan(params: ModelParams, settings_grid, n: int, master_seed: int) -> _Plan:
     grid = [_coerce_pair(c) for c in settings_grid]
     if not grid:
         raise ValueError("settings grid must be nonempty")
-    requests = _cell_requests(grid, n, master_seed)
 
-    def decide(counts) -> TestResult:
+    def decide(counts):
         p_values = []
         for pair, (joint, _) in zip(grid, counts):
             expected = born_joint(params.state, pair)
             p_values.append(chi2_gof(joint.tolist(), [expected[c] for c in OUTCOME_CELLS]).p_value)
         p_adj = bonferroni(p_values)
-        return TestResult(
-            "qf_agreement",
-            statistic=p_adj,
-            threshold=_ALPHA,
-            p_bound=p_adj,
-            verdict=_gated(p_adj >= _ALPHA, sum(d for _, d in counts), n * len(counts)),
-            details={"cells": len(grid), "p_values": p_values},
-        )
+        details = {"cells": len(grid), "p_values": p_values}
+        return p_adj, p_adj, PASS if p_adj >= _ALPHA else FAIL, details
 
-    return _cells_plan("qf_agreement", _ALPHA, requests, decide)
+    return _plan("qf_agreement", _ALPHA, _cell_requests(grid, n, master_seed), decide)
 
 
 def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int) -> TestResult:
@@ -235,36 +230,35 @@ def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int)
     statistic = smallest Bonferroni-adjusted p-value across grid cells;
     pass iff statistic >= 1e-3.
     """
-    return _run(model, params, _qf_plan(params, settings_grid, n, master_seed))
+    return _qf_plan(params, settings_grid, n, master_seed).run(model, params)
+
+
+_A, _A_P, _B, _B_P = CHSH_ANGLES
+# The CHSH cells (a,b), (a,b'), (a',b), (a',b'), each with its sign in
+# S = E(a,b) - E(a,b') + E(a',b) + E(a',b')
+_CHSH_TERMS = (((_A, _B), +1), ((_A, _B_P), -1), ((_A_P, _B), +1), ((_A_P, _B_P), +1))
 
 
 def _no_signalling_plan(n: int, master_seed: int) -> _Plan:
-    a, a_p, b, b_p = CHSH_ANGLES
-    requests = _cell_requests([(a, b), (a, b_p), (a_p, b)], n, master_seed)
+    # the first three CHSH cells: a fixed across b, b', and b fixed across a, a'
+    requests = _cell_requests([pair for pair, _ in _CHSH_TERMS[:3]], n, master_seed)
 
     def marginal(counts, side):
-        """Counts of +1 and of -1 on one side: the rows (side A) or the
-        columns (side B) of the joint table, summed."""
+        """Side A's (rows summed) or side B's (columns summed) counts of +1 and -1."""
         joint, _ = counts
         return joint.reshape(2, 2).sum(axis=1 if side == "A" else 0).tolist()
 
-    def decide(counts) -> TestResult:
+    def decide(counts):
         ab, ab_p, a_p_b = counts
         comparisons = {
             "alpha_across_b": chi2_homogeneity(marginal(ab, "A"), marginal(ab_p, "A")),
             "beta_across_a": chi2_homogeneity(marginal(ab, "B"), marginal(a_p_b, "B")),
         }
         p_min = min(r.p_value for r in comparisons.values())
-        return TestResult(
-            "no_signalling",
-            statistic=p_min,
-            threshold=_ALPHA,
-            p_bound=p_min,
-            verdict=_gated(p_min >= _ALPHA, sum(d for _, d in counts), n * len(counts)),
-            details={"comparisons": {key: res.statistic for key, res in comparisons.items()}},
-        )
+        details = {"comparisons": {key: res.statistic for key, res in comparisons.items()}}
+        return p_min, p_min, PASS if p_min >= _ALPHA else FAIL, details
 
-    return _cells_plan("no_signalling", _ALPHA, requests, decide)
+    return _plan("no_signalling", _ALPHA, requests, decide)
 
 
 def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
@@ -274,18 +268,16 @@ def test_no_signalling(model, params: ModelParams, n: int, master_seed: int) -> 
     B's across a vs a' (b fixed), each with a two-sample chi-square.
     statistic = smallest p-value; pass iff statistic >= 1e-3.
     """
-    return _run(model, params, _no_signalling_plan(n, master_seed))
+    return _no_signalling_plan(n, master_seed).run(model, params)
 
 
 def _locality_plan(n: int, master_seed: int) -> _Plan:
-    a, a_p, b, b_p = CHSH_ANGLES
-    requests = _cell_requests([(a, b), (a, b_p), (a_p, b), (a_p, b_p)], n, master_seed)
+    requests = _cell_requests([pair for pair, _ in _CHSH_TERMS], n, master_seed)
 
-    def decide(counts) -> TestResult:
-        # S_hat = E(a,b) - E(a,b') + E(a',b) + E(a',b'), with its standard error
-        s_hat = 0.0
-        var = 0.0
-        for sign, (joint, dropped) in zip((+1, -1, +1, +1), counts):
+    def decide(counts):
+        # S_hat from _CHSH_TERMS, with its standard error
+        s_hat = var = 0.0
+        for (_, sign), (joint, dropped) in zip(_CHSH_TERMS, counts):
             m = n - dropped
             pp, pm, mp, mm = joint.tolist()
             e = (pp - pm - mp + mm) / m
@@ -302,16 +294,9 @@ def _locality_plan(n: int, master_seed: int) -> _Plan:
         margin = abs(stat - 2.0) / se if se > 0 else math.inf
         # Gaussian tail bound on the observed deviation from the bound
         p_bound = min(1.0, math.erfc(margin / math.sqrt(2.0)))
-        return TestResult(
-            "locality",
-            statistic=stat,
-            threshold=2.0,
-            p_bound=p_bound,
-            verdict=verdict,
-            details={"S": s_hat, "se": se},
-        )
+        return stat, p_bound, verdict, {"S": s_hat, "se": se}
 
-    return _cells_plan("locality", 2.0, requests, decide)
+    return _plan("locality", 2.0, requests, decide)
 
 
 def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestResult:
@@ -321,7 +306,7 @@ def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestR
     statistic = |S_hat|, threshold = 2.  fail (not local) iff
     |S_hat| > 2 + 5 se; pass iff |S_hat| < 2 - 5 se; inconclusive between.
     """
-    return _run(model, params, _locality_plan(n, master_seed))
+    return _locality_plan(n, master_seed).run(model, params)
 
 
 def _flip_probe(frame: Frame, earlier: str, counts) -> dict:
@@ -377,45 +362,39 @@ def _flip_probes(params: ModelParams, frames_probe) -> list[tuple[Frame, str, tu
     return [(frame, earlier, flip_arms(earlier)) for frame, earlier in ordered]
 
 
-def _flip_plan(
-    probes,
-    n: int,
-    master_seed: int,
-    first_index: int,
-    verdict: Callable[[list[dict]], TestResult],
-) -> _Plan:
+def _fractions(probes: list[dict]) -> list[float]:
+    """The flip fractions of the probes with a conclusive pair: the rest have none."""
+    return [p["fraction"] for p in probes if p["pairs"]]
+
+
+def _flip_plan(name: str, probes, n: int, master_seed: int, first_index: int, statistic) -> _Plan:
     """A paired flip probe for each of _flip_probes' ``probes``, probe k
-    seeded with mix_seed(master_seed, first_index + k); ``verdict`` reads
-    the probes' dicts."""
+    seeded with mix_seed(master_seed, first_index + k).  ``statistic``
+    gives (statistic, details) from the probes' dicts; pass iff it is 0."""
     requests = [
         EnsembleRequest(arms, frame, n, mix_seed(master_seed, first_index + k))
         for k, (frame, _, arms) in enumerate(probes)
     ]
-    return _Plan(requests, lambda counts: verdict([
-        _flip_probe(frame, earlier, c) for (frame, earlier, _), c in zip(probes, counts)
-    ]))
+
+    def decide(counts):
+        stat, details = statistic([
+            _flip_probe(frame, earlier, c) for (frame, earlier, _), c in zip(probes, counts)
+        ])
+        return (stat, 1.0, PASS, details) if stat == 0.0 else (stat, 0.0, FAIL, details)
+
+    return _plan(name, 0.0, requests, decide, cells=False)
 
 
-def _flip_result(name: str, stat: float, probes: list[dict], details: dict) -> TestResult:
-    """A flip verdict against threshold 0: pass iff stat is zero, gated
-    on the runs the probes dropped."""
-    dropped = sum(p["dropped"] for p in probes)
-    total = sum(p["pairs"] + p["dropped"] for p in probes)
-    p_bound = 1.0 if stat == 0.0 else 0.0
-    return TestResult(name, stat, 0.0, p_bound, _gated(stat == 0.0, dropped, total), details)
+def _effective_locality_plan(probes, n: int, master_seed: int) -> _Plan:
+    def statistic(found: list[dict]):
+        per_direction, detail = {}, []
+        for direction, receiver in (("A->B", "B"), ("B->A", "A")):
+            received = [p for p in found if p["earlier"] == receiver]
+            detail += [{"direction": direction, **p} for p in received]
+            per_direction[direction] = min(_fractions(received), default=math.inf)
+        return max(per_direction.values()), {"directions": per_direction, "probes": detail}
 
-
-def _effective_locality_verdict(probes: list[dict]) -> TestResult:
-    per_direction = {}
-    detail = []
-    for direction, receiver in (("A->B", "B"), ("B->A", "A")):
-        received = [p for p in probes if p["earlier"] == receiver]
-        detail += [{"direction": direction, **p} for p in received]
-        # min keeps its current value against a NaN (a probe with no
-        # conclusive pair), so starting from inf skips those probes
-        per_direction[direction] = min([math.inf, *(p["fraction"] for p in received)])
-    details = {"directions": per_direction, "probes": detail}
-    return _flip_result("effective_locality", max(per_direction.values()), probes, details)
+    return _flip_plan("effective_locality", probes, n, master_seed, 0, statistic)
 
 
 def test_effective_locality(
@@ -431,13 +410,12 @@ def test_effective_locality(
     for both directions.
     """
     probes = _flip_probes(params, frames_probe)
-    plan = _flip_plan(probes, n, master_seed, 0, _effective_locality_verdict)
-    return _run(model, params, plan)
+    return _effective_locality_plan(probes, n, master_seed).run(model, params)
 
 
-def _effective_causality_verdict(probes: list[dict]) -> TestResult:
-    worst = max([0.0, *(p["fraction"] for p in probes if not math.isnan(p["fraction"]))])
-    return _flip_result("effective_causality", worst, probes, {"probes": probes})
+def _effective_causality_plan(probes, n: int, master_seed: int) -> _Plan:
+    return _flip_plan("effective_causality", probes, n, master_seed, 1000,
+                      lambda found: (max(_fractions(found), default=0.0), {"probes": found}))
 
 
 def test_effective_causality(
@@ -451,8 +429,7 @@ def test_effective_causality(
     everywhere.
     """
     probes = _flip_probes(params, frames_probe)
-    plan = _flip_plan(probes, n, master_seed, 1000, _effective_causality_verdict)
-    return _run(model, params, plan)
+    return _effective_causality_plan(probes, n, master_seed).run(model, params)
 
 
 def classify(
@@ -478,11 +455,11 @@ def classify(
         "qf_agreement": _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
         "no_signalling": _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
         "locality": _locality_plan(config.n_locality, seeds["locality"]),
-        "effective_locality": _flip_plan(
-            probes, config.n_eff, seeds["effective_locality"], 0, _effective_locality_verdict
+        "effective_locality": _effective_locality_plan(
+            probes, config.n_eff, seeds["effective_locality"]
         ),
-        "effective_causality": _flip_plan(
-            probes, config.n_eff, seeds["effective_causality"], 1000, _effective_causality_verdict
+        "effective_causality": _effective_causality_plan(
+            probes, config.n_eff, seeds["effective_causality"]
         ),
     }
     counts = iter(ensembles(model, [r for p in plans.values() for r in p.requests], params))

@@ -10,9 +10,8 @@ import pytest
 
 from flashlab.classify import (
     ClassifyConfig,
-    _effective_causality_verdict,
-    _effective_locality_verdict,
-    _flip_plan,
+    _effective_causality_plan,
+    _effective_locality_plan,
     _flip_probes,
     _locality_plan,
     _no_signalling_plan,
@@ -148,10 +147,8 @@ def test_classify_matches_tests_one_by_one(model, master_seed):
         _qf_plan(params, config.qf_grid, config.n_qf, seeds["qf_agreement"]),
         _no_signalling_plan(config.n_nosig, seeds["no_signalling"]),
         _locality_plan(config.n_locality, seeds["locality"]),
-        _flip_plan(probes, config.n_eff, seeds["effective_locality"], 0,
-                   _effective_locality_verdict),
-        _flip_plan(probes, config.n_eff, seeds["effective_causality"], 1000,
-                   _effective_causality_verdict),
+        _effective_locality_plan(probes, config.n_eff, seeds["effective_locality"]),
+        _effective_causality_plan(probes, config.n_eff, seeds["effective_causality"]),
     ]
     for plan in plans:
         kernel = ensembles(model, plan.requests, params)
@@ -238,19 +235,36 @@ def test_probe_without_conclusive_pairs_is_skipped():
     params = ModelParams()
     frames = (Frame(0.5), Frame(1.0), Frame(-0.5), Frame(-1.0))
 
-    def run_blind(first_index, verdict):
-        plan = _flip_plan(_flip_probes(params, frames), 60, 3, first_index, verdict)
+    def run_blind(flip_plan):
+        plan = flip_plan(_flip_probes(params, frames), 60, 3)
         return plan.verdict(scalar_counts(_blind_at_half, plan.requests, params))
 
-    loc = run_blind(0, _effective_locality_verdict)
+    loc = run_blind(_effective_locality_plan)
     assert math.isnan(loc.details["probes"][0]["fraction"])
     assert loc.details["directions"] == {"A->B": 13 / 58, "B->A": 13 / 60}
     assert (loc.statistic, loc.verdict) == (13 / 58, "inconclusive")
-    causal = run_blind(1000, _effective_causality_verdict)
+    causal = run_blind(_effective_causality_plan)
     assert [(p["flips"], p["pairs"], p["dropped"]) for p in causal.details["probes"]] == [
         (0, 0, 60), (12, 59, 1), (8, 58, 2), (17, 60, 0)
     ]
     assert (causal.statistic, causal.verdict) == (17 / 60, "inconclusive")
+
+
+def test_locality_is_gated_on_dropped_runs():
+    # about a quarter of the runs are inconclusive at this flash rate: the
+    # CHSH estimate from the rest is computed as before, but like the other
+    # four tests its verdict is inconclusive
+    params = ModelParams(flash_rate=2.0)
+    config = ClassifyConfig(master_seed=3, n_qf=100, n_nosig=100, n_locality=1000, n_eff=50)
+    for model, statistic in ((ModelId.RGRWF, 2.872240912783649),
+                             (ModelId.PREFERRED_FRAME, 2.872240912783649),
+                             (ModelId.LOCAL_HV, 0.9515254259973247)):
+        report = classify(model, params, config)
+        plan = _locality_plan(config.n_locality, report.seeds["locality"])
+        dropped = sum(d for _, d in ensembles(model, plan.requests, params))
+        assert 0.2 < dropped / (4 * config.n_locality) < 0.3
+        result = report.results["locality"]
+        assert (result.statistic, result.verdict) == (statistic, "inconclusive"), model
 
 
 def test_default_frames_probe_orders_both_ways():

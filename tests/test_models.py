@@ -258,19 +258,44 @@ def test_local_hv_chsh_within_local_bound(n=20_000):
     assert abs(s) <= 2.0 + 0.02
 
 
-def test_lhv_plus_near_a_sign_change_matches_the_scalar_channel():
-    # arguments within 1e-12 of +-pi/2, where np.cos may differ from
-    # math.cos in the last bit and the kernel redoes the value with math.cos
+def _near_a_sign_change():
+    """(mechanism, theta, lam, arg) for 400 runs of each mechanism, whose
+    cosine argument ``arg`` lies within 1e-12 of +-pi/2."""
     rng = np.random.default_rng(17)
     lam = 2.0 * math.pi * rng.random(400)
     offset = rng.uniform(-1e-12, 1e-12, 400)
     quarter = np.where(rng.random(400) < 0.5, math.pi / 2, -math.pi / 2)
     for mech, theta in ((0, lam + quarter + offset), (1, lam + (quarter + offset) / 2)):
-        arg = theta - lam if mech == 0 else 2.0 * (theta - lam)
-        assert np.all(np.abs(np.cos(arg)) < 1e-9)
+        yield mech, theta, lam, theta - lam if mech == 0 else 2.0 * (theta - lam)
+
+
+def _check_lhv_plus_near_a_sign_change():
+    for mech, theta, lam, _ in _near_a_sign_change():
         mechanism = np.full(400, bool(mech))
         scalar = [_lhv_channel(t, l, mech) == 1 for t, l in zip(theta.tolist(), lam.tolist())]
         assert _lhv_plus(theta, lam, mechanism).tolist() == scalar
+
+
+def test_lhv_plus_near_a_sign_change_matches_the_scalar_channel():
+    # arguments where np.cos may differ from math.cos in the last bit and
+    # the kernel redoes the value with math.cos
+    for _, _, _, arg in _near_a_sign_change():
+        assert np.all(np.abs(np.cos(arg)) < 1e-9)
+    _check_lhv_plus_near_a_sign_change()
+
+
+def test_lhv_plus_redoes_near_zero_cosines(monkeypatch):
+    # an np.cos that gets the sign of every near-zero value wrong, as one
+    # that differs from math.cos in the last bit may get some: the
+    # math.cos redo must still give the scalar channel's decisions
+    np_cos = np.cos
+
+    def wrong_sign_cos(x):
+        value = np_cos(x)
+        return np.where(np.abs(value) < 1e-9, -value, value)
+
+    monkeypatch.setattr(np, "cos", wrong_sign_cos)
+    _check_lhv_plus_near_a_sign_change()
 
 
 def test_ensembles_reproducible():
