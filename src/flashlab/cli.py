@@ -410,8 +410,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     quantum = abs(chsh_value(cfg.params.state, *CHSH_ANGLES))
     w = certificate.wigner
     jw = certificate.janus_witness
+    relation = "<" if local_max < quantum else ">" if local_max > quantum else "="
     lines = [
-        f"local max {_sig6(local_max)} < quantum {_sig6(quantum)}",
+        f"local max {_sig6(local_max)} {relation} quantum {_sig6(quantum)}",
         f"wigner theta={_sig6(w.theta)}: strategies lhs {_sig6(w.lhs)} <= rhs {_sig6(w.rhs)}; "
         f"quantum {_sig6(w.quantum_lhs)} > {_sig6(w.quantum_rhs)}",
         f"janus witness: region {jw.region} flips "

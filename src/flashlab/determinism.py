@@ -190,7 +190,9 @@ def epr_filter(
 @dataclass(frozen=True)
 class WignerReport:
     """Wigner inequality P++(0, 2t) <= P++(0, t) + P++(t, 2t) over the
-    anticorrelated strategies, with the quantum values for contrast."""
+    anticorrelated strategies, with the quantum values for contrast:
+    ``quantum_lhs`` and ``quantum_rhs`` are the singlet's, whatever state
+    is configured."""
 
     theta: float
     lhs: float

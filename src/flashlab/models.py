@@ -478,14 +478,13 @@ class _Tally:
 #   the channel draws in processing order (or lambda and the mechanism for
 #   local_hv)
 #
-# A segment the run's outcome does not read is skipped: the cursor jumps
-# over it and the next segment gets the uniforms the scalar run gets.  For
-# outcome counts, positions are skipped wherever the processing frame's
-# sinh is 0, where a flash's frame time t * cosh - x * 0.0 is t * cosh,
-# and local_hv, whose channels read no flash, skips both patterns; a block
-# where no run reads positions builds none.  The flash path reads every
-# segment.  The A positions a run reads and its count of B come from one
-# draw, as they are adjacent in its stream.
+# Each segment is its own draw, or is skipped if the run's outcome does not
+# read it: the cursor jumps over it and the next segment gets the uniforms
+# the scalar run gets.  For outcome counts, a block whose runs all process
+# in a frame with sinh 0 skips the positions, as a flash's frame time
+# t * cosh - x * 0.0 is t * cosh there; a block with any other run reads
+# every run's positions.  local_hv, whose channels read no flash, skips
+# both patterns.  The flash path reads every segment.
 #
 # A block's rows may belong to different requests: each row carries its
 # own seed, settings and processing rapidity (a _Stack taken per row).
@@ -522,52 +521,41 @@ class _Patterns:
     ``n_a`` and ``n_b`` hold the flash counts.  ``t`` and ``x`` hold the
     lab coordinates of each run's flashes in ``shape[1]`` columns: A
     0..nA-1, padding, then from column ``width_a`` B 0..nB-1, padding.
-    Where any run reads positions, times are sorted within a region, so
-    the column is the index, as positions come in time order; else they
-    are in draw order.  Times are inf on padding, so padding sorts last
-    in every frame.  Without
-    ``times`` both patterns are skipped and ``t`` and ``x`` are None; a
-    run whose ``positions`` entry is False skips its positions, and its
-    ``x`` holds the region's x_min, or ``x`` is None if no run reads them.
+    With ``positions`` (one flag for the block), times are sorted within
+    a region, so the column is the index, as positions come in time
+    order; without it every run skips its positions, ``x`` is None and
+    times are in draw order.  Times are inf on padding, so padding sorts
+    last in every frame.  Without ``times`` both patterns are skipped and
+    ``t`` and ``x`` are None.
     """
 
     def __init__(self, params: ModelParams, seeds: np.ndarray, times=True, positions=True):
         self.params = params
         self._streams = streams = PCG64Streams(seeds)
-        rows = np.arange(seeds.size)
-        read_any = times and bool(np.any(positions))
-        u = streams.draw(np.ones(seeds.size, dtype=np.intp))[:, 0]
+        positions = times and positions
         counts, ts, xs = [], [], []
-        for region, next_count in zip(params.regions, (1, 0)):  # B's count follows A
+        for region in params.regions:
             table = _poisson_cdf_table(params.flash_rate * (region.t_max - region.t_min))
+            u = streams.draw(np.ones(seeds.size, dtype=np.intp))[:, 0]
             n = np.searchsorted(table, u, side="right")
             counts.append(n)
-            if times:
-                t = _scaled(streams.draw(n), region.t_min, region.t_max)
-                t[np.arange(t.shape[1]) >= n[:, None]] = np.inf
-                if read_any:  # a run's positions come in its times' order
-                    t.sort(axis=1)
-                ts.append(t)
-                read = np.where(positions, n, 0)
-                streams.skip(n - read)
-            else:
-                read = np.zeros_like(n)
+            if not times:
                 streams.skip(2 * n)
-            # the positions read, then the next region's count, in one draw
-            drawn = streams.draw(read + next_count)
-            if next_count:
-                u = drawn[rows, read]
-                drawn[rows, read] = 0.0  # a count, not a position
-            if read_any:
-                x = np.zeros_like(t)
-                x[:, : drawn.shape[1]] = drawn[:, : x.shape[1]]
-                xs.append(_scaled(x, region.x_min, region.x_max))
+                continue
+            t = _scaled(streams.draw(n), region.t_min, region.t_max)
+            t[np.arange(t.shape[1]) >= n[:, None]] = np.inf
+            ts.append(t)
+            if positions:
+                t.sort(axis=1)  # a run's positions come in its times' order
+                xs.append(_scaled(streams.draw(n), region.x_min, region.x_max))
+            else:
+                streams.skip(n)
         self.n_a, self.n_b = counts
         self.conclusive = (self.n_a > 0) & (self.n_b > 0)
         self.width_a = int(self.n_a.max())
         self.shape = (seeds.size, self.width_a + int(self.n_b.max()))
         self.t = np.hstack(ts) if times else None
-        self.x = np.hstack(xs) if read_any else None
+        self.x = np.hstack(xs) if positions else None
 
     def hidden_variables(self) -> tuple[np.ndarray, np.ndarray]:
         """local_hv's (lambda, mechanism bit) of each run."""
@@ -688,7 +676,7 @@ def _kernel_block(model: ModelId, rows: _Stack, params: ModelParams, seeds) -> n
     index into OUTCOME_CELLS; -1 marks an inconclusive run.  ``rows``
     holds each run's settings and rapidity."""
     local = _MODELS[model].local_channels
-    block = _Patterns(params, seeds, times=not local, positions=rows.sinh != 0)
+    block = _Patterns(params, seeds, times=not local, positions=bool(rows.sinh.any()))
     return _decide(block, model, rows)[0]
 
 

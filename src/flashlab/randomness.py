@@ -243,19 +243,15 @@ def _words128(values) -> tuple:
     return hi, lo, lo & _M32, lo >> _U64(32)
 
 
-# A draw computes its values a batch of at most `_batch` steps at a time,
-# over the streams that still need values: value j of a batch comes from
-# the state mult_j * s + incr_j * inc, with mult_j and incr_j from
-# _jump_table, so a batch needs no step-by-step recurrence.  incr_j * inc
-# does not depend on the state, so each stream computes it once, for j up
-# to the widest batch a draw has needed so far (local_hv's patterns never
-# draw more than 2 values).  The width is at most _JUMP and keeps a batch
-# within _JUMP_CELLS values, which stay in cache: few streams get wide
-# batches, thousands of streams narrow ones.  A row's last batch may
-# compute a few values past its length; its cursor still stops at the
-# length.
-_JUMP = 64
-_JUMP_CELLS = 1 << 14
+# A draw computes its values _BATCH steps at a time, over the streams that
+# still need values: value j of a batch comes from the state
+# mult_j * s + incr_j * inc, with mult_j and incr_j from _jump_table, so a
+# batch needs no step-by-step recurrence.  incr_j * inc does not depend on
+# the state, so each stream computes it once, at construction.  A row's
+# last batch may compute a few values past its length; its cursor still
+# stops at the length.  Every block has the one width: a wider batch for
+# fewer streams computes more such values and gains no time.
+_BATCH = 8
 
 
 @functools.cache
@@ -281,7 +277,7 @@ class PCG64Streams:
     by exactly ``lengths[i]``.
     """
 
-    __slots__ = ("_hi", "_lo", "_inc", "_mults", "_incs", "_batch")
+    __slots__ = ("_hi", "_lo", "_inc", "_mults", "_incs")
 
     def __init__(self, seeds: np.ndarray):
         seeds = np.asarray(seeds, dtype=_U64)
@@ -292,21 +288,16 @@ class PCG64Streams:
             (seq_hi << _U64(1)) | (seq_lo >> _U64(63)),
             (seq_lo << _U64(1)) | _U64(1),
         )
-        self._batch = max(1, min(_JUMP, _JUMP_CELLS // max(1, seeds.size)))
-        # mult_j for j = 1..batch, as columns
-        self._mults = tuple(w[1 : self._batch + 1, None] for w in _jump_table(_JUMP + 1)[0])
-        # incr_j * inc of each stream for j = 1..width, (width, streams);
-        # _states widens it as draws need
-        self._incs = (np.empty((0, seeds.size), dtype=_U64),) * 2
+        # mult_j for j = 1..batch as columns, and incr_j * inc of each
+        # stream, (batch, streams)
+        mults, incrs = (tuple(w[1:, None] for w in words) for words in _jump_table(_BATCH + 1))
+        self._mults, self._incs = mults, _mul128(*inc, incrs)
         state = _add128(inc, (state_hi, state_lo))
-        self._hi, self._lo = _add128(_mul128(*state, tuple(w[0] for w in self._mults)), inc)
+        self._hi, self._lo = _add128(_mul128(*state, tuple(w[0] for w in mults)), inc)
 
     def _states(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The states of streams ``rows`` after 1..k <= batch steps from
         their cursors, as (k, rows) arrays; moves no cursor."""
-        if k > self._incs[0].shape[0]:
-            incrs = tuple(w[1 : k + 1, None] for w in _jump_table(_JUMP + 1)[1])
-            self._incs = _mul128(*self._inc, incrs)
         return _add128(
             _mul128(self._hi[rows], self._lo[rows], tuple(w[:k] for w in self._mults)),
             (self._incs[0][:k, rows], self._incs[1][:k, rows]),
@@ -318,11 +309,11 @@ class PCG64Streams:
         length holds 0 or a value the stream has not yet reached."""
         lengths = np.asarray(lengths, dtype=np.intp)
         out = np.zeros((lengths.size, int(lengths.max(initial=0))))
-        for start in range(0, out.shape[1], self._batch):
+        for start in range(0, out.shape[1], _BATCH):
             # the first batch takes every stream, as views rather than
             # copies; a stream that needs none is left where it is
             rows = np.flatnonzero(lengths > start) if start else slice(None)
-            k = min(self._batch, out.shape[1] - start)
+            k = min(_BATCH, out.shape[1] - start)
             hi, lo = self._states(rows, k)
             out[rows, start : start + k] = _next_double(hi, lo).T
             taken = np.minimum(lengths[rows] - start, k)

@@ -370,6 +370,18 @@ def test_certify_and_reports(tmp_path, capsys):
     assert "born" in capsys.readouterr().out
 
 
+def test_certify_prints_the_chsh_relation_that_holds(tmp_path, capsys):
+    # at (cos 0.15, -sin 0.15) the state's CHSH value, 1.83214, is below
+    # the local maximum of 2
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(
+        "[experiment]\nstate = 0,0 0.9887710779360422,0 -0.14943813247359922,0 0,0\n"
+        "[certify]\nk_max = 1\n"
+    )
+    assert run_cli("certify", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "local max 2 > quantum 1.83214"
+
+
 def test_certify_sizes_the_janus_budget_from_the_flash_rate(tmp_path, capsys):
     # a fixed 8192-bit budget ran out at this rate ("bit budget exhausted")
     cfg = tmp_path / "rate.ini"

@@ -111,8 +111,8 @@ def test_pcg64_streams_match_numpy():
 
 def test_pcg64_cursor_draws_and_skips_match_numpy():
     # each stream moves by exactly its own length, drawn or skipped; lengths
-    # of 0, across the batch width (64 for 7 streams, 16 for 1,000) and
-    # skips past 64 and 1,000 values
+    # of 0, on either side of one and two batch widths (8 values) and past
+    # 64, and skips past 64 and 1,000 values
     def check(seeds, steps):
         streams = PCG64Streams(np.array(seeds, dtype=np.uint64))
         numpy_streams = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -136,6 +136,9 @@ def test_pcg64_cursor_draws_and_skips_match_numpy():
         ("draw", [3, 0, 1, 64, 128, 2, 1]),
         ("skip", [1500, 2, 0, 63, 1024, 1, 65]),
         ("draw", [1] * 7),
+        ("draw", [7, 8, 9, 15, 16, 17, 0]),
+        ("skip", [3, 0, 1, 2, 5, 8, 9]),
+        ("draw", [17, 16, 15, 9, 8, 7, 1]),
     ])
     rng = np.random.default_rng(12)
     steps = []
@@ -143,6 +146,7 @@ def test_pcg64_cursor_draws_and_skips_match_numpy():
         steps.append(("draw", rng.integers(0, 40, 1000).tolist()))
         steps.append(("skip", rng.integers(0, 1500, 1000).tolist()))
     steps.append(("draw", rng.integers(0, 3, 1000).tolist()))
+    steps.append(("draw", np.resize([7, 8, 9, 15, 16, 17], 1000).tolist()))
     check([mix_seed(77, i) for i in range(1000)], steps)
 
 
@@ -253,9 +257,10 @@ def test_ensemble_counts_across_blocks(model):
 
 @pytest.mark.parametrize("model", list(ModelId))
 def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(model):
-    # one sweep whose first block holds lab-frame runs, which skip their
-    # positions, beside moving-frame runs, which read them (local_hv skips
-    # both patterns everywhere); checked run for run, block by block.  At
+    # one sweep whose first block holds lab-frame runs beside moving-frame
+    # runs, so that the lab-frame runs read their positions too, as the
+    # block's runs do not all skip them (local_hv skips both patterns
+    # everywhere); checked run for run, block by block.  At
     # these small rapidities the two boxes overlap in frame time, so the
     # positions decide how A and B flashes interleave.
     params = ModelParams(epsilon=0.02)

@@ -37,3 +37,17 @@ def test_readme_example_config_is_the_default_at_seed_7(tmp_path):
         assert main([*command, "--seed", "7", "--out", str(seed_only)]) == 0
     for name in ("classify_preferred_frame.json", "certificate.json"):
         assert (with_config / name).read_bytes() == (seed_only / name).read_bytes(), name
+
+
+STATE_PAIRS = re.compile(r'"((?:\S+,\S+ ){3}\S+,\S+)"')
+
+
+def test_readme_states_are_accepted(tmp_path):
+    # every four-pair state the README gives runs as written
+    states = STATE_PAIRS.findall(README.read_text())
+    assert states, "no re,im state found in README.md"
+    for i, state in enumerate(states):
+        config = tmp_path / f"state{i}.ini"
+        config.write_text(f"[experiment]\nstate = {state}\n")
+        assert main(["run", "--config", str(config), "--n", "100",
+                     "--out", str(tmp_path / f"out{i}")]) == 0, state

@@ -19,7 +19,10 @@ default) and reports how long each stage of the kernel took, per battery:
 Below the table it gives the collapse's work per battery: its steps,
 summed over every _collapse call, and its row-steps, the live rows summed
 over those steps, so that a change to the collapse shows its element
-work beside its milliseconds.
+work beside its milliseconds.  Then, per draw stage, the uniforms the
+streams computed (the states given to randomness._next_double) against
+those they returned (the lengths asked of PCG64Streams.draw): a draw
+computes whole batches, so the first may exceed the second.
 
 Each stage is timed by wrapping the flashlab functions that make it up
 and counting only their own time, not that of a wrapped stage they call.
@@ -48,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from flashlab import models  # noqa: E402
+from flashlab import models, randomness  # noqa: E402
 from flashlab.classify import ClassifyConfig, classify  # noqa: E402
 from flashlab.randomness import PCG64Streams  # noqa: E402
 from perfbench.workloads import SIZES  # noqa: E402
@@ -74,7 +77,7 @@ class StageClock:
 
         def timed(*args, **kwargs):
             self.calls[key] += 1
-            outer = self._stack[-1][0] if self._stack else None
+            outer = self.stage()
             label = stage(outer) if callable(stage) else stage
             self._stack.append([label, 0.0])
             start = time.perf_counter()
@@ -91,6 +94,10 @@ class StageClock:
                     self._stack[-1][1] += spent
 
         setattr(owner, name, timed)
+
+    def stage(self) -> str | None:
+        """The stage of the innermost open wrapped call."""
+        return self._stack[-1][0] if self._stack else None
 
 
 def draw_stage(outer: str | None) -> str:
@@ -124,6 +131,27 @@ def count_collapse_work(work: dict) -> None:
     models._collapse = counted
 
 
+def count_draw_values(clock: StageClock, values: dict) -> None:
+    """Rebind randomness._next_double and PCG64Streams.draw to add the
+    values each draw computes and returns to ``values``, keyed by the
+    clock's stage; call it before instrument, so that the clock's draw
+    wrapper has opened the stage."""
+    next_double, draw = randomness._next_double, PCG64Streams.draw
+    clock.calls["randomness._next_double"] = 0
+
+    def computed(hi, lo):
+        clock.calls["randomness._next_double"] += 1
+        values[clock.stage(), "computed"] += hi.size
+        return next_double(hi, lo)
+
+    def returned(self, lengths):
+        values[clock.stage(), "returned"] += int(lengths.sum())
+        return draw(self, lengths)
+
+    randomness._next_double = computed
+    PCG64Streams.draw = returned
+
+
 def battery(config: ClassifyConfig) -> list:
     return [classify(model, config=config) for model in models.ModelId]
 
@@ -142,11 +170,14 @@ def main(argv=None) -> int:
     work = defaultdict(int)  # collapse steps and row-steps of one battery
     count_collapse_work(work)
     clock = StageClock()
+    values = defaultdict(int)  # (draw stage, computed or returned): values in one battery
+    count_draw_values(clock, values)
     instrument(clock)
     per_pass = defaultdict(list)
     for _ in range(args.passes):
         clock.seconds.clear()
         work.clear()
+        values.clear()
         start = time.perf_counter()
         battery(config)
         total = time.perf_counter() - start
@@ -168,6 +199,10 @@ def main(argv=None) -> int:
         print(f"{stage:<16}{ms:9.2f}{ms / (1e3 * total):8.1%}")
     print(f"collapse work per battery: {work['steps']:,} steps, "
           f"{work['row-steps']:,} row-steps")
+    print("draw values per battery (computed / returned):")
+    for stage in ("pattern draws", "decision draws"):
+        computed, returned = values[stage, "computed"], values[stage, "returned"]
+        print(f"  {stage:<16}{computed:,} / {returned:,} ({computed / returned:.2f}x)")
     return 0
 
 
