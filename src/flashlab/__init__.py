@@ -3,10 +3,10 @@
 Simulates the flash process of a relativistic spontaneous-collapse
 theory next to a preferred-frame variant and a local hidden-variable
 model, classifies each against quantum agreement, no-signalling,
-locality, effective locality, and effective causality, and certifies by
-exhaustive enumeration that no deterministic strategy with pre-given
-randomness can match the quantum correlations while staying effectively
-causal.
+locality, effective locality, and effective causality, and certifies,
+over every side A table against side B's best response, that no
+deterministic strategy with pre-given randomness can match the quantum
+correlations while staying effectively causal.
 """
 
 from .classify import (

@@ -259,7 +259,8 @@ class RunConfig:
 
     def certify_config(self) -> CertifyConfig:
         given = _given({
-            # certify enumerates the CHSH settings, 2 per side, for k = 0..k_max
+            # capped where the full 2 x 2 strategy stack, the tests' check on
+            # the certificate's bound, still fits
             "k_max": self._count(None, "certify", "k_max", None, 0, _k_bits_limit(2, 2)),
             "theta": self._value(None, "certify", "theta", None, float, "a number", _check_theta),
             "witness_samples": self._count(None, "certify", "witness_samples", None, 1),

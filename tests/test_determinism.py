@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flashlab import determinism
 from flashlab.determinism import (
     DEFAULT_BIT_BUDGET,
     CertifyConfig,
@@ -22,7 +23,7 @@ from flashlab.determinism import (
 )
 from flashlab.minkowski import Frame, order_flip_rapidity
 from flashlab.models import EnsembleRequest, InconclusiveRunError, ModelId, ModelParams, ensembles
-from flashlab.quantum import SettingPair
+from flashlab.quantum import CHSH_ANGLES, SettingPair
 from flashlab.randomness import BitsExhausted, BitSource, random_bits
 from flashlab.stats import chi2_homogeneity
 
@@ -35,9 +36,15 @@ def test_enumeration_counts():
     assert len(enumerate_strategies(2, 2, 1)) == 256
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     with pytest.raises(ValueError, match="guard"):
         enumerate_strategies(2, 2, 4)  # 2^32 per side, 2^64 total
+    # the best-response bound enumerates side A alone: 2^16 tables at k = 3
+    # fit, 2^32 at k = 4 do not, and the guard builds none of them
+    assert np.all(determinism._best_response_chsh(3) == 2 << 3)
+    monkeypatch.setattr(determinism, "_side_tables", None)
+    with pytest.raises(ValueError, match=r"guard: would require 2\^32 side A tables"):
+        determinism._best_response_chsh(4)
     with pytest.raises(ValueError, match="guard"):
         enumerate_strategies(11, 11, 1)
     # 2^22528 strategies: the guard compares exponents, so no count that
@@ -78,8 +85,26 @@ def test_mixtures_never_beat_pure_max():
 
 def test_chsh_setting_mismatch_errors():
     strategy = enumerate_strategies(2, 2, 0)[5]
-    with pytest.raises(ValueError, match="setting"):
+    with pytest.raises(ValueError, match="setting") as stack_error:
         chsh_of(strategy, (0.1, 0.2, 0.3, 0.4))
+    with pytest.raises(ValueError) as best_response_error:
+        determinism._best_response_chsh(0, (0.1, 0.2, 0.3, 0.4))
+    assert str(best_response_error.value) == str(stack_error.value)
+
+
+@pytest.mark.parametrize("angles", [
+    CHSH_ANGLES,
+    (math.pi / 2, 0.0, 3 * math.pi / 4, math.pi / 4),  # a <-> a', b <-> b'
+    (0.0, 0.0, math.pi / 4, math.pi / 4),  # b and b' read one column of side B
+])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_best_response_matches_the_stack_per_side_a_table(k, angles):
+    # every side A table's best is 2, so the maximum alone would pass many
+    # wrong formulas; a wrong sign in one term makes some tables read 0 or 4
+    best = determinism._best_response_chsh(k, angles)
+    assert best.dtype == np.int64 and best.shape == (1 << (2 << k),)
+    by_table = chsh_of(enumerate_strategies(2, 2, k), angles).reshape(len(best), -1)
+    assert np.array_equal(best / 2**k, by_table.max(axis=1))
 
 
 def _brute_side_tables(n_settings, k):
@@ -373,6 +398,25 @@ def test_certificate_bundle():
     jw = payload["janus_witness"]
     assert jw["region"] in ("A", "B")
     assert len(jw["witness_bits_hex"]) == jw["n_bits"] // 4
+
+
+def test_certificate_builds_no_two_by_two_stack(monkeypatch):
+    calls = []
+
+    def recording_enumerate(*args, **kwargs):
+        calls.append(args)
+        return enumerate_strategies(*args, **kwargs)
+
+    def recording_chsh(*args, **kwargs):
+        calls.append("chsh_of")
+        return chsh_of(*args, **kwargs)
+
+    monkeypatch.setattr(determinism, "enumerate_strategies", recording_enumerate)
+    monkeypatch.setattr(determinism, "chsh_of", recording_chsh)
+    certificate = no_effectively_causal_nonlocal_determinism_check(CertifyConfig(k_max=2))
+    assert calls == [(3, 3, 0)]  # the EPR/Wigner stack only
+    assert [e["count"] for e in certificate.enumeration] == [16, 256, 65536]
+    assert [e["max_chsh"] for e in certificate.enumeration] == [2.0, 2.0, 2.0]
 
 
 def test_influence_evidence_invariants():
