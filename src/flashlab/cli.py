@@ -208,14 +208,14 @@ class RunConfig:
         raw = self._raw("experiment", "state", "singlet")
         if raw == "singlet":
             return singlet()
-        parts = raw.split()
-        if len(parts) != 4:
+        parts = [p.split(",") for p in raw.split()]
+        if len(parts) != 4 or any(len(p) > 2 for p in parts):
             raise ConfigError(
                 f"{self._anchor('experiment', 'state')}: state must be 'singlet' "
                 "or four 're,im' amplitude pairs"
             )
         try:
-            amps = [complex(*(float(x) for x in p.split(","))) for p in parts]
+            amps = [complex(*map(float, p)) for p in parts]
             return PureState(np.array(amps))
         except ValueError as exc:
             raise ConfigError(f"{self._anchor('experiment', 'state')}: bad state: {exc}") from exc

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .minkowski import Frame, SimultaneityTie, boost_time, order_flip_rapidity, precedes
+from .minkowski import Frame, SimultaneityTie, order_flip_rapidity, precedes
 from .models import (
     ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _simulate_run,
 )
@@ -303,9 +303,7 @@ def janus_run(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (j.bit_budget,):
         raise ValueError(f"bits must have length {j.bit_budget}, got {bits.shape}")
-    return _simulate_run(
-        j.model, BitSource(bits), settings, j.native_frame, None, j.params, record_trace
-    )
+    return _simulate_run(j.model, BitSource(bits), settings, j.native_frame, j.params, record_trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,10 +342,10 @@ class InfluenceEvidence:
 
 
 def _first_region_in_frame(run: ExperimentRun, frame: Frame) -> str:
-    chi = frame.rapidity
+    ch, sh = frame.cosh, frame.sinh
     best = min(
         run.flashes,
-        key=lambda f: (boost_time(f.event.t, f.event.x, chi), f.region, f.index),
+        key=lambda f: (f.event.t * ch - f.event.x * sh, f.region, f.index),
     )
     return best.region
 

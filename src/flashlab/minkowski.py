@@ -10,7 +10,7 @@ fully.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 RAPIDITY_LIMIT = 20.0  # cosh(20) ~ 2.4e8 keeps double precision meaningful
 TIE_TOLERANCE = 1e-12
@@ -51,10 +51,13 @@ class Frame:
     """An inertial frame reached by a boost of given rapidity along x.
 
     rapidity = 0 is the lab frame; the boost hyperplanes of constant t'
-    are this frame's simultaneity surfaces.
+    are this frame's simultaneity surfaces.  Every boost and frame-time
+    order reads the ``cosh`` and ``sinh`` of the rapidity computed here.
     """
 
     rapidity: float = 0.0
+    cosh: float = field(init=False, repr=False, compare=False)
+    sinh: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rapidity", float(self.rapidity))
@@ -62,6 +65,8 @@ class Frame:
             raise ValueError(
                 f"|rapidity| must be <= {RAPIDITY_LIMIT} (got {self.rapidity})"
             )
+        object.__setattr__(self, "cosh", math.cosh(self.rapidity))
+        object.__setattr__(self, "sinh", math.sinh(self.rapidity))
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,7 @@ def boost(e: Event, f: Frame) -> Event:
 
     t' = t cosh(chi) - x sinh(chi),  x' = x cosh(chi) - t sinh(chi).
     """
-    ch, sh = math.cosh(f.rapidity), math.sinh(f.rapidity)
-    return Event(e.t * ch - e.x * sh, e.x * ch - e.t * sh)
+    return Event(e.t * f.cosh - e.x * f.sinh, e.x * f.cosh - e.t * f.sinh)
 
 
 def interval(e1: Event, e2: Event) -> float:
@@ -129,8 +133,8 @@ def precedes(e1: Event, e2: Event, f: Frame) -> bool:
     Raises SimultaneityTie when the boosted times agree within
     TIE_TOLERANCE; the caller applies the rule A before B.
     """
-    t1 = boost_time(e1.t, e1.x, f.rapidity)
-    t2 = boost_time(e2.t, e2.x, f.rapidity)
+    t1 = e1.t * f.cosh - e1.x * f.sinh
+    t2 = e2.t * f.cosh - e2.x * f.sinh
     if abs(t1 - t2) <= TIE_TOLERANCE:
         raise SimultaneityTie(e1, e2, f)
     return bool(t1 < t2)
@@ -173,9 +177,8 @@ def region_frame_order(r_a: Region, r_b: Region, f: Frame) -> str | None:
     of the other (it suffices to compare boosted corner times), or None
     when the boxes overlap in frame time.
     """
-    ch, sh = math.cosh(f.rapidity), math.sinh(f.rapidity)
-    times_a = [c.t * ch - c.x * sh for c in r_a.corners()]
-    times_b = [c.t * ch - c.x * sh for c in r_b.corners()]
+    times_a = [c.t * f.cosh - c.x * f.sinh for c in r_a.corners()]
+    times_b = [c.t * f.cosh - c.x * f.sinh for c in r_b.corners()]
     if max(times_a) < min(times_b):
         return "A"
     if max(times_b) < min(times_a):

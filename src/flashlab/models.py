@@ -133,15 +133,13 @@ class ModelParams:
 
 # The parameters a call without ``params`` runs under, built and checked once.
 _DEFAULT_PARAMS = ModelParams()
+_LAB = Frame(0.0)  # preferred_frame decides in it, whatever frame is requested
 
 
 @dataclass(frozen=True)
 class ExperimentRun:
     """Record of one run: flashes in frame-time order, outcome, state history."""
 
-    settings: SettingPair
-    frame: Frame
-    seed: int | None
     flashes: tuple[Flash, ...]
     outcome: Outcome
     state_trace: tuple[PureState, ...]
@@ -216,7 +214,6 @@ def _simulate_run(
     source,
     settings,
     frame: Frame,
-    seed: int | None,
     params: ModelParams | None,
     record_trace: bool,
 ) -> ExperimentRun:
@@ -248,17 +245,17 @@ def _simulate_run(
             x = region.x_min + x_span * uniform()
             pattern.append((rank, idx, t, x))
 
-    angles = (settings.a.angle, settings.b.angle)
+    sides = (settings.a, settings.b)
     trace: list[PureState] = []
 
     if spec.local_channels:
         # every flash of a region has the region's channel, in any order
         lam = 2.0 * math.pi * uniform()
         mech = 0 if uniform() < 0.5 else 1
-        first = (_lhv_channel(angles[0], lam, mech), -_lhv_channel(angles[1], lam, mech))
+        first = (_lhv_channel(sides[0].angle, lam, mech), -_lhv_channel(sides[1].angle, lam, mech))
         channels = {(rank, idx): first[rank] for rank, idx, _, _ in pattern}
     else:
-        order = _frame_order(pattern, frame.rapidity if spec.frame_ordered else 0.0)
+        order = _frame_order(pattern, frame if spec.frame_ordered else _LAB)
         channels: dict[tuple[int, int], int] = {}
         first: dict[int, int] = {}  # each region's first channel in processing order
         # the 2x2 amplitude matrix m[a_bit][b_bit] as four complex scalars
@@ -266,8 +263,7 @@ def _simulate_run(
         amps = params.state.amplitudes
         m00, m01, m10, m11 = complex(amps[0]), complex(amps[1]), complex(amps[2]), complex(amps[3])
         for rank, idx, _, _ in order:
-            half = 0.5 * angles[rank]
-            c, s = math.cos(half), math.sin(half)
+            c, s = sides[rank].cos_half, sides[rank].sin_half
             if rank == 0:  # side A: contract rows
                 f0 = c * m00 + s * m10
                 f1 = c * m01 + s * m11
@@ -313,7 +309,7 @@ def _simulate_run(
 
     flashes = tuple(
         Flash(Event(t, x), SIDES[rank], channels[(rank, idx)], idx)
-        for rank, idx, t, x in _frame_order(pattern, frame.rapidity)
+        for rank, idx, t, x in _frame_order(pattern, frame)
     )
 
     if counts[0] == 0 or counts[1] == 0:
@@ -321,15 +317,14 @@ def _simulate_run(
         raise InconclusiveRunError(empty, flashes)
 
     outcome = Outcome(alpha=first[0], beta=first[1])
-    return ExperimentRun(settings, frame, seed, flashes, outcome, tuple(trace))
+    return ExperimentRun(flashes, outcome, tuple(trace))
 
 
-def _frame_order(pattern, rapidity: float) -> list:
+def _frame_order(pattern, frame: Frame) -> list:
     """The (region_rank, index, t_lab, x_lab) flashes of ``pattern`` in
-    frame-time order in the frame of ``rapidity``, ties broken A before B,
-    then by index."""
-    ch = math.cosh(rapidity)
-    sh = math.sinh(rapidity)
+    frame-time order in ``frame``, from its cosh and sinh, ties broken A
+    before B, then by index."""
+    ch, sh = frame.cosh, frame.sinh
     return sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
 
 
@@ -373,9 +368,8 @@ def run_model(
     """
     if seed is None:
         raise ValueError("run_model needs a seed; a run without one cannot be replayed")
-    return _simulate_run(
-        ModelId(model), GeneratorSource(seed), settings, frame, seed, params, record_trace
-    )
+    return _simulate_run(ModelId(model), GeneratorSource(seed), settings, frame, params,
+                         record_trace)
 
 
 # run_model bound to each model, called as runner(settings, frame, seed,
@@ -615,8 +609,8 @@ def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
     """Frame time t cosh(chi) - x sinh(chi) of each flash, as boost_time
-    computes it, from math.cosh and math.sinh of the rapidity (a scalar
-    or a column per run); inf on padding, as cosh and sinh are finite.
+    computes it, from a Frame's cosh and sinh (a scalar or a column per
+    run); inf on padding, as cosh and sinh are finite.
     Without ``x`` every sinh is 0, and t cosh - x 0 is t cosh."""
     keys = t * cosh
     if x is not None:
@@ -635,10 +629,10 @@ class _Stack(NamedTuple):
     """Per-request values of a sweep, with requests on the last axis, or
     runs once ``take`` has given each run its request's values.
 
-    Every value comes from math on that request's scalars, as in
-    _simulate_run: numpy's cos or cosh over an array may differ from
-    math's in the last bit, and then a probability compared against a
-    uniform is no longer the same double.
+    Every trig value is the request's Setting.cos_half and sin_half and
+    Frame.cosh and sinh, the doubles _simulate_run reads: numpy's cos or
+    cosh over an array may differ from math's in the last bit, and then a
+    probability compared against a uniform is no longer the same double.
     """
 
     angle: np.ndarray  # settings angles, (arms, 2 sides, ...)
@@ -655,19 +649,19 @@ def _stack(model: ModelId, requests) -> _Stack:
     """The _Stack of requests with one number of arms; the decisions of
     preferred_frame follow rapidity 0 whatever the frame."""
 
-    def per_side(f):
+    def per_side(name):
         return np.array(
-            [[(f(p.a.angle), f(p.b.angle)) for p in r.arms] for r in requests], dtype=float
+            [[(getattr(p.a, name), getattr(p.b, name)) for p in r.arms] for r in requests]
         ).transpose(1, 2, 0)
 
     frame_ordered = _MODELS[model].frame_ordered
-    rapidity = [r.frame.rapidity if frame_ordered else 0.0 for r in requests]
+    frames = [r.frame if frame_ordered else _LAB for r in requests]
     return _Stack(
-        angle=per_side(float),
-        cos=per_side(lambda theta: math.cos(0.5 * theta)),
-        sin=per_side(lambda theta: math.sin(0.5 * theta)),
-        cosh=np.array([math.cosh(chi) for chi in rapidity]),
-        sinh=np.array([math.sinh(chi) for chi in rapidity]),
+        angle=per_side("angle"),
+        cos=per_side("cos_half"),
+        sin=per_side("sin_half"),
+        cosh=np.array([f.cosh for f in frames]),
+        sinh=np.array([f.sinh for f in frames]),
     )
 
 
@@ -753,7 +747,7 @@ def _flash_block(
     steps = np.where(block.conclusive, block.n_a + block.n_b, 0)
     t, x = block.t, block.x
     (cells,), plus = _decide(block, model, rows, every_flash=True)
-    t_frame = _frame_times(t, x, math.cosh(frame.rapidity), math.sinh(frame.rapidity))
+    t_frame = _frame_times(t, x, frame.cosh, frame.sinh)
     report = _time_order(t_frame)
     run = np.repeat(np.arange(seeds.size), steps)
     col = report[np.arange(report.shape[1]) < steps[:, None]]

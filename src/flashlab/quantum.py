@@ -19,7 +19,7 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,14 +51,19 @@ class ZeroProbabilityError(ValueError):
 
 @dataclass(frozen=True)
 class Setting:
-    """An idealized Stern-Gerlach direction: one angle, normalized to [0, 2pi)."""
+    """An idealized Stern-Gerlach direction: one angle, normalized to [0, 2pi),
+    with the cos and sin of half the angle that every collapse reads."""
 
     angle: float
+    cos_half: float = field(init=False, repr=False, compare=False)
+    sin_half: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError("setting angle must be finite")
         object.__setattr__(self, "angle", self.angle % _TWO_PI)
+        object.__setattr__(self, "cos_half", math.cos(0.5 * self.angle))
+        object.__setattr__(self, "sin_half", math.sin(0.5 * self.angle))
 
 
 @dataclass(frozen=True)

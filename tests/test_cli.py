@@ -178,6 +178,7 @@ def test_bad_classify_and_certify_values_are_line_anchored(tmp_path, capsys, com
         ("a = nan", "setting angle must be finite"),
         ("b = inf", "setting angle must be finite"),
         ("a = x", "a must be a number"),
+        ("state = 1,2,3 0,0 0,0 0,0", "state must be 'singlet' or four 're,im' amplitude pairs"),
     ],
 )
 def test_bad_experiment_values_are_line_anchored(tmp_path, capsys, command, entry, message):

@@ -609,7 +609,7 @@ def test_tiny_imaginary_part_decides_a_channel():
     pattern = (0.02, 0.1, 0.5, 0.02, 0.9, 0.5)
     draws = (5e-21, 0.5)
     run = models._simulate_run(ModelId.RGRWF, ScriptedSource(pattern + draws), (0.0, 0.0),
-                               Frame(0.0), None, params, False)
+                               Frame(0.0), params, False)
     trig = np.array([[[1.0], [0.0]]] * 2)  # cos and sin of half of each angle 0
     plus = models._collapse(params, trig, np.array([[True], [False]]),
                             np.array(draws)[:, None], [1, 1])

@@ -104,12 +104,16 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_csv(tmp_path, model, frame):
-    code = main([
+def _run_csv(tmp_path, model, frame, config=None):
+    args = [
         "run", "--csv", "--model", model, "--a", "0", "--b", "1.0472", "--frame", frame,
         "--n", "200", "--seed", "1", "--out", str(tmp_path),
-    ])
-    assert code == 0
+    ]
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    assert main(args) == 0
     payload = json.loads((tmp_path / f"run_{model}.json").read_text())
     return payload, _sha256(tmp_path / f"flashes_{model}.csv")
 
@@ -121,26 +125,40 @@ def test_run_csv_golden(tmp_path, capsys):
     assert digest == "f3b09e024e90b0287fda6dd699a7895cf4727fe7432b96cb637a6b86aeedde42"
 
 
-# model -> (frame rapidity, counts, CSV SHA-256); preferred_frame reports
-# its flashes in an order that differs from its decision order
+# random_pure_state(default_rng(5)) as 're,im' reprs: every amplitude has a
+# nonzero imaginary part, so the collapse's complex arithmetic shows here
+_COMPLEX_STATE = (
+    "[experiment]\nstate ="
+    " -0.3637853790308307,0.5153521927236994 -0.6007776027048815,0.04976682893649963"
+    " -0.11266590132950213,-0.25070100589723965 0.19072931359814677,-0.3560050274057283\n"
+    "epsilon = 0.05\nflash_rate = 20\n"
+)
+
+# case -> (model, frame rapidity, config, counts, inconclusive, CSV SHA-256);
+# preferred_frame reports its flashes in an order that differs from its
+# decision order
 _RUN_CSV_OTHER = {
     "preferred_frame": (
-        "-0.7", {"++": 27, "+-": 77, "-+": 72, "--": 23},
+        "preferred_frame", "-0.7", None, {"++": 27, "+-": 77, "-+": 72, "--": 23}, 1,
         "42b34e82a8973d57c5e999d642130f50e63b02baab015b45998c6a4799cf39be",
     ),
     "local_hv": (
-        "0.5", {"++": 56, "+-": 48, "-+": 40, "--": 55},
+        "local_hv", "0.5", None, {"++": 56, "+-": 48, "-+": 40, "--": 55}, 1,
         "a4fd514bcb487fc4a5d17f8e5516405ce2741d67e012053d7893b3ba86824989",
+    ),
+    "rgrwf_complex_state": (
+        "rgrwf", "1", _COMPLEX_STATE, {"++": 124, "+-": 37, "-+": 27, "--": 12}, 0,
+        "b62e2c8ab7d6bd4275589963b5342c7bfb40486380e2d308658b4cd2a7897258",
     ),
 }
 
 
-@pytest.mark.parametrize("model", sorted(_RUN_CSV_OTHER))
-def test_run_csv_golden_other_models(model, tmp_path, capsys):
-    frame, counts, want = _RUN_CSV_OTHER[model]
-    payload, digest = _run_csv(tmp_path, model, frame)
+@pytest.mark.parametrize("case", sorted(_RUN_CSV_OTHER))
+def test_run_csv_golden_other_models(case, tmp_path, capsys):
+    model, frame, config, counts, inconclusive, want = _RUN_CSV_OTHER[case]
+    payload, digest = _run_csv(tmp_path, model, frame, config)
     assert payload["counts"] == counts
-    assert payload["inconclusive"] == 1
+    assert payload["inconclusive"] == inconclusive
     assert digest == want
 
 
