@@ -35,7 +35,7 @@ from .models import (
     _coerce_pair,
     ensembles,
 )
-from .quantum import CHSH_ANGLES, SIDES, born_joint, flip_arms
+from .quantum import CHSH_ANGLES, CHSH_TERMS, SIDES, born_joint, flip_arms
 from .randomness import mix_seed
 from .stats import bonferroni, chi2_gof, chi2_homogeneity
 
@@ -233,10 +233,8 @@ def test_qf(model, params: ModelParams, settings_grid, n: int, master_seed: int)
     return _qf_plan(params, settings_grid, n, master_seed).run(model, params)
 
 
-_A, _A_P, _B, _B_P = CHSH_ANGLES
-# The CHSH cells (a,b), (a,b'), (a',b), (a',b'), each with its sign in
-# S = E(a,b) - E(a,b') + E(a',b) + E(a',b')
-_CHSH_TERMS = (((_A, _B), +1), ((_A, _B_P), -1), ((_A_P, _B), +1), ((_A_P, _B_P), +1))
+# The CHSH cells (a,b), (a,b'), (a',b), (a',b'), each with its sign in S
+_CHSH_TERMS = tuple(((CHSH_ANGLES[i], CHSH_ANGLES[2 + j]), sign) for i, j, sign in CHSH_TERMS)
 
 
 def _no_signalling_plan(n: int, master_seed: int) -> _Plan:

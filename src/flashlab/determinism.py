@@ -29,7 +29,7 @@ from .minkowski import Frame, SimultaneityTie, order_flip_rapidity, precedes
 from .models import (
     ExperimentRun, InconclusiveRunError, ModelId, ModelParams, _max_draws, _simulate_run,
 )
-from .quantum import CHSH_ANGLES, SettingPair, _angle, flip_arms
+from .quantum import CHSH_ANGLES, CHSH_TERMS, SettingPair, _angle, flip_arms
 from .randomness import BITS_PER_UNIFORM, BitSource, mix_seed, random_bits
 
 _ANGLE_TOL = 1e-12
@@ -150,6 +150,15 @@ def _match_setting(settings: tuple[float, ...], theta: float) -> int:
     raise ValueError(f"strategy does not use setting {theta!r}; has {settings}")
 
 
+def _chsh_columns(settings_a, settings_b, angles) -> list[tuple[int, int, int]]:
+    """quantum.CHSH_TERMS as (side A table column, side B table column,
+    sign), the columns of the settings that match ``angles``."""
+    a, a_p, b, b_p = angles
+    cols_a = _match_setting(settings_a, a), _match_setting(settings_a, a_p)
+    cols_b = _match_setting(settings_b, b), _match_setting(settings_b, b_p)
+    return [(cols_a[i], cols_b[j], sign) for i, j, sign in CHSH_TERMS]
+
+
 def chsh_of(strategies: DeterministicStrategy, angles: tuple = CHSH_ANGLES) -> np.ndarray:
     """CHSH value E(a,b) - E(a,b') + E(a',b) + E(a',b') of every strategy
     of a stack, as a float array, averaging products over the uniform bit
@@ -160,10 +169,6 @@ def chsh_of(strategies: DeterministicStrategy, angles: tuple = CHSH_ANGLES) -> n
     """
     if len(strategies.settings_a) != 2 or len(strategies.settings_b) != 2:
         raise ValueError("CHSH needs exactly 2 settings per side")
-    a, a_p, b, b_p = angles
-    sa, sb = strategies.settings_a, strategies.settings_b
-    ia, ia_p = _match_setting(sa, a), _match_setting(sa, a_p)
-    ib, ib_p = _match_setting(sb, b), _match_setting(sb, b_p)
     table_a, table_b = strategies.table_a, strategies.table_b
 
     def total(i, j):
@@ -171,7 +176,8 @@ def chsh_of(strategies: DeterministicStrategy, angles: tuple = CHSH_ANGLES) -> n
         return np.einsum("rb,rb->r", table_a[:, i], table_b[:, j], dtype=np.int64)
 
     # one division by 2^k: exact, so the same doubles as four divided terms
-    s = total(ia, ib) - total(ia, ib_p) + total(ia_p, ib) + total(ia_p, ib_p)
+    terms = _chsh_columns(strategies.settings_a, strategies.settings_b, angles)
+    s = sum(sign * total(i, j) for i, j, sign in terms)
     return s / table_a.shape[2]
 
 
@@ -181,27 +187,23 @@ def _best_response_chsh(k_bits: int, angles: tuple = CHSH_ANGLES) -> np.ndarray:
     as an int64 array; divided by 2^k_bits it is
     chsh_of(stack, angles).reshape(N_A, N_B).max(axis=1).
 
-    CHSH * 2^k is a sum over the bit columns m of alpha(a,m)(beta(b,m) -
-    beta(b',m)) + alpha(a',m)(beta(b,m) + beta(b',m)).  Column m of side
-    B's table appears only in term m, so the best side B table takes the
-    best of the four (beta(b,m), beta(b',m)) pairs in each column.
+    CHSH * 2^k is a sum over the bit columns m of alpha(0,m) w_0 +
+    alpha(1,m) w_1, where w_i is the signed sum of the beta(j,m) that
+    CHSH_TERMS pairs side A's setting i with.  Column m of side B's table
+    appears only in term m, so the best side B table takes the best of the
+    four (beta(0,m), beta(1,m)) pairs in each column.
     """
     if k_bits > _k_bits_limit(2, 0):
         raise ValueError(
             f"enumeration guard: would require 2^{2 << k_bits} side A tables "
             f"(limit {MAX_TOTAL_STRATEGIES})"
         )
-    a, a_p, b, b_p = angles
-    sa, sb = _default_settings(2, 0.0), _default_settings(2, math.pi / 4)
-    ia, ia_p = _match_setting(sa, a), _match_setting(sa, a_p)
-    ib, ib_p = _match_setting(sb, b), _match_setting(sb, b_p)
+    terms = _chsh_columns(_default_settings(2, 0.0), _default_settings(2, math.pi / 4), angles)
     tables = _side_tables(2, k_bits)
-    alpha, alpha_p = tables[:, ia], tables[:, ia_p]
-    # one side B column, indexed by setting: b and b' share it when ib == ib_p
+    # (w_0, w_1) under each side B column (beta(0,m), beta(1,m))
     columns = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    best = np.maximum.reduce([
-        alpha * (col[ib] - col[ib_p]) + alpha_p * (col[ib] + col[ib_p]) for col in columns
-    ])
+    weights = [[sum(s * col[j] for i, j, s in terms if i == a) for a in (0, 1)] for col in columns]
+    best = np.maximum.reduce([tables[:, 0] * w_0 + tables[:, 1] * w_1 for w_0, w_1 in weights])
     return best.sum(axis=1, dtype=np.int64)
 
 
@@ -342,11 +344,7 @@ class InfluenceEvidence:
 
 
 def _first_region_in_frame(run: ExperimentRun, frame: Frame) -> str:
-    ch, sh = frame.cosh, frame.sinh
-    best = min(
-        run.flashes,
-        key=lambda f: (f.event.t * ch - f.event.x * sh, f.region, f.index),
-    )
+    best = min(run.flashes, key=lambda f: (frame.time(f.event.t, f.event.x), f.region, f.index))
     return best.region
 
 

@@ -52,7 +52,7 @@ class Frame:
 
     rapidity = 0 is the lab frame; the boost hyperplanes of constant t'
     are this frame's simultaneity surfaces.  Every boost and frame-time
-    order reads the ``cosh`` and ``sinh`` of the rapidity computed here.
+    order reads ``time`` and the ``cosh`` and ``sinh`` computed here.
     """
 
     rapidity: float = 0.0
@@ -67,6 +67,10 @@ class Frame:
             )
         object.__setattr__(self, "cosh", math.cosh(self.rapidity))
         object.__setattr__(self, "sinh", math.sinh(self.rapidity))
+
+    def time(self, t, x):
+        """Lab (t, x)'s time here, t cosh(chi) - x sinh(chi); floats or arrays."""
+        return t * self.cosh - x * self.sinh
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def boost(e: Event, f: Frame) -> Event:
 
     t' = t cosh(chi) - x sinh(chi),  x' = x cosh(chi) - t sinh(chi).
     """
-    return Event(e.t * f.cosh - e.x * f.sinh, e.x * f.cosh - e.t * f.sinh)
+    return Event(f.time(e.t, e.x), e.x * f.cosh - e.t * f.sinh)
 
 
 def interval(e1: Event, e2: Event) -> float:
@@ -133,8 +137,7 @@ def precedes(e1: Event, e2: Event, f: Frame) -> bool:
     Raises SimultaneityTie when the boosted times agree within
     TIE_TOLERANCE; the caller applies the rule A before B.
     """
-    t1 = e1.t * f.cosh - e1.x * f.sinh
-    t2 = e2.t * f.cosh - e2.x * f.sinh
+    t1, t2 = f.time(e1.t, e1.x), f.time(e2.t, e2.x)
     if abs(t1 - t2) <= TIE_TOLERANCE:
         raise SimultaneityTie(e1, e2, f)
     return bool(t1 < t2)
@@ -164,10 +167,10 @@ def order_flip_rapidity(e1: Event, e2: Event) -> Frame:
 
 
 def regions_spacelike(r_a: Region, r_b: Region) -> bool:
-    """True iff every corner pair across the two boxes is spacelike."""
-    return all(
-        spacelike(ca, cb) for ca in r_a.corners() for cb in r_b.corners()
-    )
+    """True iff every point pair across the two boxes is spacelike: their x
+    ranges are disjoint, so the least |dx| falls at corners, and every corner pair is."""
+    disjoint = r_a.x_max < r_b.x_min or r_b.x_max < r_a.x_min
+    return disjoint and all(spacelike(ca, cb) for ca in r_a.corners() for cb in r_b.corners())
 
 
 def region_frame_order(r_a: Region, r_b: Region, f: Frame) -> str | None:
@@ -177,8 +180,7 @@ def region_frame_order(r_a: Region, r_b: Region, f: Frame) -> str | None:
     of the other (it suffices to compare boosted corner times), or None
     when the boxes overlap in frame time.
     """
-    times_a = [c.t * f.cosh - c.x * f.sinh for c in r_a.corners()]
-    times_b = [c.t * f.cosh - c.x * f.sinh for c in r_b.corners()]
+    times_a, times_b = ([f.time(c.t, c.x) for c in r.corners()] for r in (r_a, r_b))
     if max(times_a) < min(times_b):
         return "A"
     if max(times_b) < min(times_a):

@@ -322,10 +322,9 @@ def _simulate_run(
 
 def _frame_order(pattern, frame: Frame) -> list:
     """The (region_rank, index, t_lab, x_lab) flashes of ``pattern`` in
-    frame-time order in ``frame``, from its cosh and sinh, ties broken A
-    before B, then by index."""
-    ch, sh = frame.cosh, frame.sinh
-    return sorted(pattern, key=lambda p: (p[2] * ch - p[3] * sh, p[0], p[1]))
+    frame-time order in ``frame``, by Frame.time, ties broken A before B,
+    then by index."""
+    return sorted(pattern, key=lambda p: (frame.time(p[2], p[3]), p[0], p[1]))
 
 
 def _max_draws(params: ModelParams) -> int:
@@ -608,10 +607,9 @@ def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _frame_times(t: np.ndarray, x: np.ndarray, cosh, sinh) -> np.ndarray:
-    """Frame time t cosh(chi) - x sinh(chi) of each flash, as boost_time
-    computes it, from a Frame's cosh and sinh (a scalar or a column per
-    run); inf on padding, as cosh and sinh are finite.
-    Without ``x`` every sinh is 0, and t cosh - x 0 is t cosh."""
+    """Frame.time of each flash, from a column of each run's cosh and sinh;
+    inf on padding, as cosh and sinh are finite.  Without ``x`` every sinh
+    is 0, and t cosh - x 0 is t cosh."""
     keys = t * cosh
     if x is not None:
         keys -= x * sinh
@@ -747,7 +745,7 @@ def _flash_block(
     steps = np.where(block.conclusive, block.n_a + block.n_b, 0)
     t, x = block.t, block.x
     (cells,), plus = _decide(block, model, rows, every_flash=True)
-    t_frame = _frame_times(t, x, frame.cosh, frame.sinh)
+    t_frame = frame.time(t, x)
     report = _time_order(t_frame)
     run = np.repeat(np.arange(seeds.size), steps)
     col = report[np.arange(report.shape[1]) < steps[:, None]]

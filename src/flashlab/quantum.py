@@ -34,6 +34,8 @@ SIDES = ("A", "B")
 # The CHSH settings (a, a', b, b'), at which the singlet reaches the
 # Tsirelson value.
 CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+# S = E(a,b) - E(a,b') + E(a',b) + E(a',b'): each term's index into (a, a'), into (b, b'), sign
+CHSH_TERMS = ((0, 0, +1), (0, 1, -1), (1, 0, +1), (1, 1, +1))
 
 # The flip probe: the frame-later region's setting moves from the first of
 # these to the second while the frame-earlier region keeps the first, so
@@ -281,10 +283,11 @@ def chsh_value(
     Tsirelson value -2 sqrt(2) at (a, a', b, b') = (0, pi/2, pi/4, 3pi/4);
     any local deterministic model is bounded by |S| <= 2.
     """
-    def e(x, y):
-        return correlator(state, SettingPair(Setting(_angle(x)), Setting(_angle(y))))
-
-    return e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime)
+    a_side, b_side = ([Setting(_angle(x)) for x in side] for side in ((a, a_prime), (b, b_prime)))
+    s = 0.0
+    for i, j, sign in CHSH_TERMS:
+        s += sign * correlator(state, SettingPair(a_side[i], b_side[j]))
+    return s
 
 
 def random_pure_state(rng: np.random.Generator) -> PureState:

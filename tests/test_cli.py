@@ -96,6 +96,18 @@ def test_runaway_flash_rate_is_config_error(tmp_path, capsys, rate):
     assert not (tmp_path / "run_rgrwf.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "classify"])
+def test_overlapping_regions_are_config_error(tmp_path, capsys, command):
+    # region A's box contains region B's default box (0 1 10 11)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[regions]\na_box = 0 1 -20 20\n")
+    code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and "spacelike" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+
+
 @pytest.mark.parametrize("n", ["-5", "0"])
 @pytest.mark.parametrize("csv", [(), ("--csv",)], ids=["plain", "csv"])
 def test_run_rejects_n_below_one(tmp_path, capsys, n, csv):

@@ -97,6 +97,9 @@ def test_regions_spacelike_examples():
     assert regions_spacelike(a, far)
     assert not regions_spacelike(a, near)
     assert not regions_spacelike(a, Region(0, 1, 0, 1))  # identical boxes
+    # overlapping x ranges, whatever the time spans: some pair shares an x
+    assert not regions_spacelike(Region(0, 1, -20, 20), far)  # contains far
+    assert not regions_spacelike(Region(0, 0.1, 10.5, 30), Region(0, 0.1, 10, 11))
 
 
 def test_region_frame_order():

@@ -246,7 +246,11 @@ def test_local_hv_correlator_matches_analytic(n=30_000):
     for b in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
         joint, _ = _counts(ModelId.LOCAL_HV, (0.0, b), LAB, n, 87)
         se = 2.0 / math.sqrt(joint.sum())
-        assert abs(_correlator(joint) - lhv_correlator(0.0, b)) < 4 * se
+        e = lhv_correlator(0.0, b)
+        assert abs(_correlator(joint) - e) < 4 * se
+        # uniform marginals: the joint law is (1 + alpha beta E) / 4
+        expected = [(1.0 + alpha * beta * e) / 4.0 for alpha, beta in CELLS]
+        assert chi2_gof(joint.tolist(), expected).p_value >= 1e-3
 
 
 def test_local_hv_chsh_within_local_bound(n=20_000):
