@@ -283,16 +283,18 @@ def _locality_plan(n: int, master_seed: int) -> _Plan:
             var += (1.0 - e * e) / m  # products are +-1, so Var(E_hat) = (1-E^2)/m
         se = math.sqrt(var)
         stat = abs(s_hat)
+        details = {"S": s_hat, "se": se}
+        if se == 0.0:  # every cell's E is +-1, as with one run per cell: no band to decide in
+            return stat, math.nan, INCONCLUSIVE, details
         if stat > 2.0 + 5.0 * se:
             verdict = FAIL
         elif stat < 2.0 - 5.0 * se:
             verdict = PASS
         else:
             verdict = INCONCLUSIVE
-        margin = abs(stat - 2.0) / se if se > 0 else math.inf
         # Gaussian tail bound on the observed deviation from the bound
-        p_bound = min(1.0, math.erfc(margin / math.sqrt(2.0)))
-        return stat, p_bound, verdict, {"S": s_hat, "se": se}
+        p_bound = min(1.0, math.erfc(abs(stat - 2.0) / se / math.sqrt(2.0)))
+        return stat, p_bound, verdict, details
 
     return _plan("locality", 2.0, requests, decide)
 
@@ -302,7 +304,8 @@ def test_locality(model, params: ModelParams, n: int, master_seed: int) -> TestR
     decision bands.
 
     statistic = |S_hat|, threshold = 2.  fail (not local) iff
-    |S_hat| > 2 + 5 se; pass iff |S_hat| < 2 - 5 se; inconclusive between.
+    |S_hat| > 2 + 5 se; pass iff |S_hat| < 2 - 5 se; inconclusive between,
+    and inconclusive with p_bound NaN where se is 0.
     """
     return _locality_plan(n, master_seed).run(model, params)
 

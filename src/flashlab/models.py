@@ -9,7 +9,10 @@ settings, frame, seed)``:
     temporal order, the first overall from the Born marginal, each later
     one from the state collapsed by everything drawn before it.  So at
     epsilon = 0 a region's later flashes repeat its first channel, and the
-    other region's first flash follows the quantum conditional.
+    other region's first flash follows the quantum conditional; the
+    counts kernel decides those two channels in that closed form, and
+    replays through the collapse the few runs whose draws lie too close
+    to a threshold for rounding to be ruled out (_closed_form).
 
 ``preferred_frame``
     Same flash pattern and same quantum conditioning, but the channel
@@ -482,13 +485,20 @@ class _Tally:
 # A block's rows may belong to different requests: each row carries its
 # own seed, settings and processing rapidity (a _Stack taken per row).
 # _Patterns holds the flash patterns, and _decide is the one decision
-# stage over them.  For outcome counts (_kernel_block) it stops a run's
-# collapse once both regions have drawn their first channel, since later
+# stage over them.  For outcome counts (_kernel_block) it draws a run's
+# channels only until both regions have drawn their first, since later
 # draws cannot change the outcome, and it orders no flashes: the flashes
 # before that point are the earlier region's, then the other's first, so
-# each region's earliest flash and a count locate it.  For flashes
-# (_flash_block, a layout of its decisions) it sorts and collapses every
-# flash.  One _collapse call decides every arm of a block: a run's arms
+# each region's earliest flash and a count locate it.  At epsilon = 0
+# those first channels have a closed form (_closed_form): the earlier
+# region's first channel from the Born marginal, which its later flashes
+# repeat, and the other region's from the Born conditional, with
+# probabilities tabled per request.  A run whose draw lies within _DELTA
+# of a closed-form threshold, or whose earlier region took a branch of
+# weight below _ETA, replays through the exact collapse on the same
+# draws; at epsilon > 0 every run does.  For flashes (_flash_block, a
+# layout of its decisions) it sorts and collapses every flash, at every
+# epsilon.  One _collapse call decides every arm of a block: a run's arms
 # are adjacent rows that share its uniforms, and the rows still
 # collapsing at a step are a prefix, so a step makes the same numpy calls
 # whatever the number of arms; no row is updated after its last decision.
@@ -577,25 +587,185 @@ class _Patterns:
         shape (arms, runs, max steps).  ``cos`` and ``sin`` hold the cos
         and sin of each run's half setting angles, (arms, 2 sides, runs);
         ``side_a`` marks the A flashes in that order."""
+        return _collapse_runs(self.params, cos, sin, side_a, steps, self._streams.draw(steps))
+
+    def first_channels(self, cos, sin, first_a, first_b):
+        """Each run's first A and first B channel (True for +1) under each
+        settings arm, (arms, runs) each, from the positions first_flashes
+        gives; ``cos`` and ``sin`` are as in ``decisions``.  A run draws
+        its channels up to both first flashes.  At epsilon = 0
+        _closed_form decides them and names the runs that replay through
+        the exact collapse on the same draws; at epsilon > 0 every run
+        replays."""
+        steps = np.where(self.conclusive, np.maximum(first_a, first_b) + 1, 0)
         draws = self._streams.draw(steps)
-        # runs sorted by steps, longest first, and each run's arms in
-        # adjacent rows, so that the rows still collapsing at step k are
-        # a prefix
-        by_steps = np.argsort(-steps, kind="stable")
-        width = int(steps[by_steps[0]])
-        arms = cos.shape[0]
-        runs_live = steps.size - np.cumsum(np.bincount(steps, minlength=width))[:width]
-        trig = np.stack([cos, sin], axis=-2)[..., by_steps]  # (arms, sides, cos/sin, runs)
-        plus = _collapse(
-            self.params,
-            np.moveaxis(trig, 0, -1).reshape(2, 2, -1),
-            np.repeat(side_a.T[:width, by_steps], arms, axis=1),
-            draws.T[:, by_steps],
-            (arms * runs_live).tolist(),
-        )
-        decided = np.empty((arms, steps.size, width), dtype=bool)
-        decided[:, by_steps] = plus.reshape(width, -1, arms).T
-        return decided
+        if self.params.epsilon:
+            plus_a, plus_b = np.zeros((2, cos.shape[0], steps.size), dtype=bool)
+            replay = self.conclusive
+        else:
+            plus_a, plus_b, replay = _closed_form(self.params, cos, sin, first_a == 0, steps, draws)
+            replay &= self.conclusive
+        runs = np.flatnonzero(replay)
+        if runs.size:
+            first_a, first_b, steps = first_a[runs], first_b[runs], steps[runs]
+            # the flashes before both firsts are the earlier region's, then
+            # the other region's first
+            step = np.arange(int(steps.max()))
+            in_a = np.where((first_a == 0)[:, None], step < first_b[:, None],
+                            step == first_a[:, None])
+            decided = _collapse_runs(self.params, cos[..., runs], sin[..., runs], in_a, steps,
+                                     draws[runs])
+            row = np.arange(runs.size)
+            plus_a[:, runs] = decided[:, row, first_a]
+            plus_b[:, runs] = decided[:, row, first_b]
+        return plus_a, plus_b
+
+
+def _collapse_runs(params, cos, sin, side_a, steps, draws) -> np.ndarray:
+    """_Patterns.decisions on the given ``draws``, each run's uniforms
+    per step, (runs, max steps)."""
+    # runs sorted by steps, longest first, and each run's arms in
+    # adjacent rows, so that the rows still collapsing at step k are
+    # a prefix
+    by_steps = np.argsort(-steps, kind="stable")
+    width = int(steps[by_steps[0]])
+    arms = cos.shape[0]
+    runs_live = steps.size - np.cumsum(np.bincount(steps, minlength=width))[:width]
+    trig = np.stack([cos, sin], axis=-2)[..., by_steps]  # (arms, sides, cos/sin, runs)
+    plus = _collapse(
+        params,
+        np.moveaxis(trig, 0, -1).reshape(2, 2, -1),
+        np.repeat(side_a.T[:width, by_steps], arms, axis=1),
+        draws.T[:width, by_steps],
+        (arms * runs_live).tolist(),
+    )
+    decided = np.empty((arms, steps.size, width), dtype=bool)
+    decided[:, by_steps] = plus.reshape(width, -1, arms).T
+    return decided
+
+
+# The counts path's closed form at epsilon = 0 (_closed_form): a draw this
+# close to its closed-form threshold replays through the exact collapse,
+# and so does a run whose first region's channel had a branch weight below
+# _ETA.  _closed_form's docstring shows that _DELTA is wide enough.
+_DELTA = 2.0**-30
+_ETA = 2.0**-20
+
+
+def _closed_form(params, cos, sin, a_first, steps, draws):
+    """The counts path at epsilon = 0: each run's first A and first B
+    channel (True for +1) under each arm, (arms, runs) each, and a mask
+    of the runs to replay through the exact collapse instead.
+
+    E is the region that draws first (A where ``a_first``), L the other,
+    and k = steps - 1 the number of E's flashes before L's first; the
+    run's draws are u_0 .. u_k.  At epsilon = 0 a collapse leaves the
+    state a product v (x) g, with v E's channel vector, (c, s) for +1 and
+    (-s, c) for -1, and g its partner.  So E's first channel is u_0 < p0,
+    each later E flash repeats it, and L's first channel is u_k < q, with
+    q = |c_L g_0 + s_L g_1|^2 / |g|^2 the Born conditional.  _born_tables
+    gives p0 and q per request, gathered by row; the rows of one request
+    are adjacent, so a request is a run of rows with equal settings.  p0
+    comes from _collapse's own operations: it is the double the collapse
+    compares u_0 against.  q is not the collapse's double, which carries
+    the rounding of k collapses.  So a run replays where u_k lies within
+    _DELTA of q, where a repeat's uniform lies within _DELTA of 0 or of
+    1, or where the branch E decided under some arm has a weight |g|^2
+    below _ETA.
+
+    Why _DELTA is wide enough.  u = 2^-53, and each operation below
+    rounds with relative error at most u.  (One that underflows errs by
+    at most 2^-1075; as _ETA keeps |g| above 2^-10, that is below
+    2^-1060 relative to any quantity here.)  M is the state in E's
+    orientation, M[i, j] with i E's index, of norm 1 within NORM_TOL.  c
+    and s are correctly rounded, so |v|^2 = 1 + xi with |xi| <= 2.01u,
+    and likewise |w|^2 for L's w = (c_L, s_L).  g = v_0 M[0] + v_1 M[1]
+    exactly, on these doubles; P = |g|^2 is the branch weight, and
+    q(x) = |w.x|^2 / |x|^2.  For nonzero x and y,
+    |q(x) - q(y)| <= 2 |w|^2 |x/|x| - y/|y||  and
+    |x/|x| - y/|y|| <= 2 |x - y| / |y|.
+
+    1. E's first collapse computes g^ = v_0 M[0] + v_1 M[1] plane by
+       plane, each component within 2.01u (|v_0 M[0, j]| + |v_1 M[1, j]|),
+       so |g^ - g| <= 2.02u and q(g^) is within 8.2u / sqrt(P) of q(g).
+       It stores m[i, j] = v_i g^_j (1 + theta_ij) / n, with |theta| <=
+       2.01u (product and quotient) and n = |v| |g^| (1 + beta) the
+       computed norm: |beta| <= 4.01u with one plane (four squares),
+       6.01u with two (eight).
+    2. A repeat computes f_j = c m[0, j] + s m[1, j].  On channel +1
+       that is (c^2 (1 + theta_0j) + s^2 (1 + theta_1j)) g^_j / n: two
+       terms of one sign, so f_j = |v|^2 g^_j / n within 4.03u relative,
+       and p = |f|^2 lies within |xi| + 8.1u + 3u + 2 |beta| <= 26u of 1.
+       On channel -1 the two terms cancel to |f_j| <= 6.03u |c s| |g^_j|
+       / n, and p <= 10u^2.  A repeat that decides E's channel again
+       collapses onto the same v; its new partner v_0 m[0] + v_1 m[1]
+       also adds two terms of one sign, so each component is g^_j times
+       a common factor, within 4.03u relative more than before.  After
+       k - 1 repeats the partner's direction is within 8.06 (k - 1) u of
+       g^'s, and q within 16.3 (k - 1) u of q(g^).
+    3. L's step computes f_i = c_L m[i, 0] + s_L m[i, 1], which is
+       v_i (w.g') / n within 4.03u |v_i| |w| |g'| / n, for g' the
+       partner after the repeats.  So the collapse's p_L = |f|^2 is
+       within 8.1u (the error of f), 3.1u (its squares' sum) and 2 |beta|
+       (the norm) of q(g'): within 19.3u with one plane, 23.3u with two.
+    4. _born_tables computes h = c_L g^_0 + s_L g^_1 within 2.01u |w| |g^|,
+       so its q^ = |h|^2 / |g^|^2 is within 4.1u + 6.1u of q(g^).  Its g^
+       is the collapse's own double, so steps 1 and 4 share q(g^); the
+       bound below does not rest on that and counts 8.2u / sqrt(P) on
+       each side.
+
+    Together, |p_L - q^| <= (16.4 / sqrt(P) + 16.3 (k - 1) + C) u, with
+    C = 30 for one plane and 34 for two.  A count never exceeds its
+    Poisson table, 1,957 entries at MAX_FLASH_MEAN, so k < 2,000, and
+    P >= _ETA = 2^-20: the bound is below 4.9e4 u = 5.5e-12, and a
+    repeat's p lies within 26u of 1 or of 0.  Both are far inside
+    _DELTA = 2^-30 = 9.3e-10 (the computed distance |u_k - q^| errs by
+    at most u relative), so a draw outside its band falls on the same
+    side of the collapse's probability as of the closed form's.
+    """
+    n = steps.size
+    arms = cos.shape[0]
+    trig = np.concatenate([cos, sin]).reshape(-1, n)
+    new = np.ones(n, dtype=bool)  # the first row of each request
+    np.any(trig[:, 1:] != trig[:, :-1], axis=0, out=new[1:])
+    first = np.flatnonzero(new)
+    weight, cond = _born_tables(params.state, cos[..., first], sin[..., first])
+    # flat index of (arm, side E, channel +1, request) into the tables
+    base = (np.arange(arms)[:, None] * 4 + np.where(a_first, 0, 2)) * first.size
+    base += np.cumsum(new) - 1
+    plus_e = draws[:, 0] < weight.ravel()[base]
+    at = base + np.where(plus_e, 0, first.size)  # E's decided channel
+    q = cond.ravel()[at]
+    u_l = draws[np.arange(n), steps - 1]
+    replay = ((np.abs(u_l - q) < _DELTA) | (weight.ravel()[at] < _ETA)).any(axis=0)
+    if draws.min() < _DELTA or draws.max() >= 1.0 - _DELTA:  # then find the repeats' (1 .. k - 1)
+        run, col = np.nonzero(np.abs(draws[:, 1:] - 0.5) >= 0.5 - _DELTA)  # u - 0.5 is exact
+        replay[run[col + 2 < steps[run]]] = True
+    plus_l = u_l < q
+    return np.where(a_first, plus_e, plus_l), np.where(a_first, plus_l, plus_e), replay
+
+
+def _born_tables(state: PureState, cos, sin):
+    """The branch weight |g|^2 and L's Born conditional probability of
+    +1, |c_L g_0 + s_L g_1|^2 / |g|^2 (0 where |g| is 0), for E = side A
+    and B and E's channel +1 and -1, each (arms, 2 sides, 2 channels,
+    requests); ``cos`` and ``sin`` hold each request's half-angle cos and
+    sin, (arms, 2 sides, requests).  g, E's partner vector, comes from
+    _collapse's operations, so the weight of channel +1 is the double
+    _collapse compares E's first uniform against."""
+    m = _planes(state)
+    # (cells, planes, arms, side E, channel, requests): side B contracts
+    # columns, so its cells are 00, 10, 01, 11
+    m = np.stack([m, m[[0, 2, 1, 3]]], axis=2)[:, :, None, :, None, None]
+    v0 = np.stack([cos, -sin], axis=2)  # E's channel vector, (arms, side E, channel, requests)
+    v1 = np.stack([sin, cos], axis=2)
+    g = v0 * m[:2] + v1 * m[2:]
+    sq = g * g
+    weight = _sum_rows(sq[0]) + _sum_rows(sq[1])
+    h = cos[:, ::-1, None] * g[0] + sin[:, ::-1, None] * g[1]  # L's setting
+    cond = np.zeros_like(weight)
+    np.divide(_sum_rows(h * h), weight, out=cond, where=weight > 0.0)
+    return weight, cond
 
 
 def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -675,8 +845,9 @@ def _kernel_block(model: ModelId, rows: _Stack, params: ModelParams, seeds) -> n
 def _decide(block: _Patterns, model: ModelId, rows: _Stack, every_flash=False):
     """The decision stage of both paths.  Returns _kernel_block's cells
     and, if ``every_flash``, the channel (True for +1) in each flash
-    column under the block's one arm; else None, and each run's collapse
-    stops at its first channels."""
+    column under the block's one arm; else None, and each run's channels
+    are decided only up to its first A and first B flash
+    (_Patterns.first_channels)."""
     conclusive = block.conclusive
     runs = np.flatnonzero(conclusive)
     cells = np.full((rows.angle.shape[0], conclusive.size), -1, dtype=np.intp)
@@ -697,20 +868,15 @@ def _decide(block: _Patterns, model: ModelId, rows: _Stack, every_flash=False):
 
     keys = _frame_times(block.t, block.x, rows.cosh[:, None], rows.sinh[:, None])
     first_a, first_b = block.first_flashes(keys)
-    if every_flash:
-        order = _time_order(keys)
-        in_a = order < block.width_a
-        steps = np.where(conclusive, block.n_a + block.n_b, 0)
-    else:
-        steps = np.where(conclusive, np.maximum(first_a, first_b) + 1, 0)
-        # the flashes before both firsts are the earlier region's, then
-        # the other region's first
-        step = np.arange(int(steps.max()))
-        in_a = np.where((first_a == 0)[:, None], step < first_b[:, None], step == first_a[:, None])
-    decided = block.decisions(rows.cos, rows.sin, in_a, steps)
+    if not every_flash:
+        plus_a, plus_b = block.first_channels(rows.cos, rows.sin, first_a, first_b)
+        cells[:, runs] = _cell(plus_a[:, runs], plus_b[:, runs])
+        return cells, plus
+    order = _time_order(keys)
+    steps = np.where(conclusive, block.n_a + block.n_b, 0)
+    decided = block.decisions(rows.cos, rows.sin, order < block.width_a, steps)
     cells[:, runs] = _cell(decided[:, runs, first_a[runs]], decided[:, runs, first_b[runs]])
-    if every_flash:
-        np.put_along_axis(plus, order[:, : decided.shape[2]], decided[0], axis=1)
+    np.put_along_axis(plus, order[:, : decided.shape[2]], decided[0], axis=1)
     return cells, plus
 
 
@@ -845,9 +1011,7 @@ def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
     decision.
     """
     arms = side_a.shape[1] // draws.shape[1]
-    amps = np.asarray(params.state.amplitudes, dtype=complex)
-    parts = (amps.real, amps.imag) if amps.imag.any() else (amps.real,)
-    m = np.repeat(np.stack(parts, axis=1)[..., None], live[0], axis=2)  # (cells, planes, rows)
+    m = np.repeat(_planes(params.state)[..., None], live[0], axis=2)  # (cells, planes, rows)
     turn = np.empty_like(side_a)  # the side is not the last step's (A before step 0)
     turn[0] = ~side_a[0]
     np.not_equal(side_a[1:], side_a[:-1], out=turn[1:])
@@ -879,6 +1043,14 @@ def _collapse(params, trig, side_a, draws, live) -> np.ndarray:
         mid = np.where(is_a[:n_next], sq[1:3], sq[2:0:-1])
         m = p / np.sqrt(_sum_rows((*sq[0], *mid[0], *mid[1], *sq[3])))
     return plus
+
+
+def _planes(state: PureState) -> np.ndarray:
+    """The amplitudes as _collapse holds them, (cells, planes): the real
+    parts, then the imaginary parts unless none is nonzero."""
+    amps = np.asarray(state.amplitudes, dtype=complex)
+    parts = (amps.real, amps.imag) if amps.imag.any() else (amps.real,)
+    return np.stack(parts, axis=1)
 
 
 def _sum_rows(rows):

@@ -212,6 +212,17 @@ def test_locality_verdicts():
     assert res.statistic == pytest.approx(1.0, abs=0.15)
 
 
+@pytest.mark.parametrize("model", list(ModelId))
+def test_locality_without_a_standard_error_is_inconclusive(model):
+    # one run per CHSH cell: each cell's E is +-1, so its plug-in variance
+    # (1 - E^2)/m is 0 and no band bounds S_hat; rgrwf used to fail locality
+    # at |S_hat| = 4 with p_bound 0
+    for master_seed in (1, 2, 3):
+        result = locality_test(model, ModelParams(), 1, master_seed)
+        assert result.verdict == "inconclusive"
+        assert math.isnan(result.p_bound)
+
+
 def test_effective_tests_need_both_orderings():
     params = ModelParams()
     one_sided = (Frame(0.5), Frame(1.0))  # B-first only

@@ -8,6 +8,7 @@ A numpy release that changes SeedSequence, PCG64 or ``Generator.random``
 fails ``test_pcg64_streams_match_numpy``.
 """
 
+import bisect
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flashlab import models
@@ -638,3 +639,197 @@ def test_flash_csv_matches_scalar_either_side_of_one_plane(tmp_path, capsys, mod
 def test_negative_n_is_rejected(make):
     with pytest.raises(ValueError, match="n must be >= 0"):
         make()
+
+
+# --- the counts path's closed form at epsilon = 0 ------------------------------
+
+U = 2.0**-53  # the unit roundoff of models._closed_form's bound
+
+
+class ScriptedStreams:
+    """PCG64Streams.draw over the given (runs, width) uniforms."""
+
+    def __init__(self, draws):
+        self._draws = np.array(draws, dtype=float)
+
+    def draw(self, lengths):
+        return self._draws[:, : int(lengths.max())]
+
+
+def scripted_pattern(params, first, k):
+    """Pattern uniforms of a lab-frame run in which region ``first`` ("A"
+    or "B") has k flashes, all before the other region's one flash."""
+    table = _poisson_cdf_table(params.flash_rate)  # the default regions last 1
+    assert _poisson_inverse(table[k - 1], params.flash_rate) == k
+
+    def region(n, late):
+        times = [0.9] if late else [0.1 + 0.5 * i / n for i in range(n)]
+        return [table[n - 1], *times, *[0.5] * n]
+
+    if first == "A":
+        return region(k, False) + region(1, True)
+    return region(1, True) + region(k, False)
+
+
+def scalar_p_plus(amplitudes, setting, rank):
+    """The probability of +1 _simulate_run compares a side-``rank`` draw
+    against, from the state before the step."""
+    m00, m01, m10, m11 = (complex(z) for z in amplitudes)
+    c, s = setting.cos_half, setting.sin_half
+    if rank == 0:
+        f0, f1 = c * m00 + s * m10, c * m01 + s * m11
+    else:
+        f0, f1 = m00 * c + m01 * s, m10 * c + m11 * s
+    return (f0.real * f0.real + f0.imag * f0.imag) + (f1.real * f1.real + f1.imag * f1.imag)
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """The runs of each call of models._collapse_runs, the replay."""
+    calls = []
+    collapse_runs = models._collapse_runs
+
+    def spy(params, cos, sin, side_a, steps, draws):
+        calls.append(steps.size)
+        return collapse_runs(params, cos, sin, side_a, steps, draws)
+
+    monkeypatch.setattr(models, "_collapse_runs", spy)
+    return calls
+
+
+def closed_form_matches_scalar(params, pair, first, k, channel_draws):
+    """The counts path's first channels of lab-frame runs in which region
+    ``first`` has k flashes before the other's one, one run per row of
+    ``channel_draws`` (k + 1 draws each), against _simulate_run's."""
+    block = models._Patterns.__new__(models._Patterns)
+    block.params = params
+    block._streams = ScriptedStreams(channel_draws)
+    block.conclusive = np.ones(len(channel_draws), dtype=bool)
+    n = np.full(len(channel_draws), k)
+    zero = np.zeros_like(n)
+    cos = np.tile([[[pair.a.cos_half], [pair.b.cos_half]]], (1, 1, n.size))
+    sin = np.tile([[[pair.a.sin_half], [pair.b.sin_half]]], (1, 1, n.size))
+    plus_a, plus_b = block.first_channels(cos, sin, *((zero, n) if first == "A" else (n, zero)))
+    pattern = scripted_pattern(params, first, k)
+    for row, draws in enumerate(channel_draws):
+        run = models._simulate_run(ModelId.RGRWF, ScriptedSource(pattern + list(draws)), pair,
+                                   Frame(0.0), params, False)
+        assert (plus_a[0, row], plus_b[0, row]) == (run.outcome.alpha > 0, run.outcome.beta > 0)
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_closed_form_replays_at_the_collapse_probability(replayed, first, k):
+    # L's draw at the probability the collapse compares it against, and an
+    # ulp to either side: each run replays, and matches _simulate_run
+    params, pair = ModelParams(), SettingPair(0.4, 1.3)
+    rank_e, rank_l = (0, 1) if first == "A" else (1, 0)
+    rows = []
+    for u0 in (0.3, 0.8):
+        draws = [u0] + [0.5] * (k - 1)
+        run = models._simulate_run(ModelId.RGRWF, ScriptedSource(
+            scripted_pattern(params, first, k) + draws + [0.5]), pair, Frame(0.0), params, True)
+        p_l = scalar_p_plus(run.state_trace[k - 1].amplitudes, (pair.a, pair.b)[rank_l], rank_l)
+        rows += [draws + [u] for u in (np.nextafter(p_l, 0.0), p_l, np.nextafter(p_l, 1.0))]
+    closed_form_matches_scalar(params, pair, first, k, rows)
+    assert replayed == [len(rows)]
+    # E's first draw needs no band: at its probability and an ulp to either
+    # side the closed form decides it, as the collapse does
+    replayed.clear()
+    p0 = scalar_p_plus(params.state.amplitudes, (pair.a, pair.b)[rank_e], rank_e)
+    rows = [[u] + [0.5] * k for u in (np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0))]
+    closed_form_matches_scalar(params, pair, first, k, rows)
+    assert replayed == []
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_closed_form_replays_a_repeat_at_the_edge(replayed, first):
+    # a repeat of E's channel at 1 - 2^-53 on channel +1, and at 0.0 on
+    # channel -1, where the collapse's probability is within rounding of 1
+    # or of 0
+    params, pair = ModelParams(state=random_pure_state(np.random.default_rng(3))), (2.2, 0.9)
+    rows = [[0.0, 1.0 - 2.0**-53, 0.5, 0.5], [1.0 - 2.0**-53, 0.0, 0.5, 0.5],
+            [0.0, 0.5, 1.0 - 2.0**-53, 0.5], [1.0 - 2.0**-53, 0.5, 0.0, 0.5]]
+    closed_form_matches_scalar(params, SettingPair(*pair), first, 3, rows)
+    assert replayed == [len(rows)]
+
+
+def test_closed_form_replays_an_ill_conditioned_branch(replayed):
+    # test_tiny_imaginary_part_decides_a_channel's state: A's + channel has
+    # weight 1e-20, below _ETA, so a run that draws it replays
+    params = ModelParams(state=PureState(np.array([1e-10j, 0, math.sqrt(0.5), math.sqrt(0.5)])))
+    closed_form_matches_scalar(params, SettingPair(0.0, 0.0), "A", 1, [[5e-21, 0.5]])
+    assert replayed == [1]
+    closed_form_matches_scalar(params, SettingPair(0.0, 0.0), "A", 1, [[0.5, 0.3]])
+    assert replayed == [1]
+
+
+@pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
+@pytest.mark.parametrize("state", ["singlet", "complex"])
+def test_kernel_matches_scalar_with_a_wide_band(monkeypatch, replayed, model, state):
+    # with _DELTA at 0.25 most runs replay and the rest are decided in
+    # closed form, side by side in each block
+    monkeypatch.setattr(models, "_DELTA", 0.25)
+    params = ModelParams() if state == "singlet" else ModelParams(
+        state=random_pure_state(np.random.default_rng(5)))
+    assert_run_for_run(model, [(0.4, 1.3), (0.4, 2.9)], Frame(0.3), params, 2000, 43)
+    assert 1000 < sum(replayed) < 2000
+
+
+@pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
+@pytest.mark.parametrize("chi", [-1.0, 0.0, 1.0])
+def test_zero_weight_branch_does_not_warn(model, chi):
+    # |00> at angle 0 gives E's -1 channel weight 0, whose Born conditional
+    # the tables leave at 0 without dividing (tier-1 turns a warning into a
+    # failure); angle pi gives the +1 channel weight 3.7e-33
+    params = ModelParams(state=PureState(np.array([1.0, 0.0, 0.0, 0.0])))
+    pairs = [(0.0, 0.0), (math.pi, 0.0), (0.0, math.pi)]
+    assert_run_for_run(model, pairs, Frame(chi), params, 300, 7)
+
+
+@st.composite
+def states(draw):
+    """Pure states, real (one plane) or complex, with exact zeros and tiny
+    amplitudes among the generic ones."""
+    part = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-9, -1e-6]))
+    amps = np.array([complex(draw(part), draw(part)) for _ in range(4)])
+    if draw(st.booleans()):
+        amps = amps.real.astype(complex)
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    return PureState(amps / norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    state=states(),
+    angles=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+    first=st.sampled_from(["A", "B"]),
+    plus=st.booleans(),
+    k=st.integers(1, len(_poisson_cdf_table(models.MAX_FLASH_MEAN))),
+)
+def test_collapse_stays_within_the_closed_form_bound(state, angles, first, plus, k):
+    # the bound of models._closed_form's docstring on the probabilities the
+    # scalar collapse computes: each repeat's within 26u of 1 or 10u^2 of 0,
+    # and L's within (16.4 / sqrt(P) + 16.3 (k - 1) + C) u of the table's
+    params = ModelParams(state=state, flash_rate=models.MAX_FLASH_MEAN)
+    table = _poisson_cdf_table(params.flash_rate)
+    assume(bisect.bisect_right(table, table[k - 1]) == k)
+    pair = SettingPair(*angles)
+    rank_e, rank_l = (0, 1) if first == "A" else (1, 0)
+    weight, cond = models._born_tables(
+        state, np.array([[[pair.a.cos_half], [pair.b.cos_half]]]),
+        np.array([[[pair.a.sin_half], [pair.b.sin_half]]]))
+    p, q = weight[0, rank_e, 1 - plus, 0], cond[0, rank_e, 1 - plus, 0]
+    assume(p >= models._ETA)
+    u0 = 0.0 if plus else 1.0 - 2.0**-53
+    run = models._simulate_run(ModelId.RGRWF, ScriptedSource(
+        scripted_pattern(params, first, k) + [u0] + [0.5] * k), pair, Frame(0.0), params, True)
+    assert {f.channel for f in run.flashes if f.region == first} == {1 if plus else -1}
+    settings_ = (pair.a, pair.b)
+    for state_before in run.state_trace[: k - 1]:
+        p_repeat = scalar_p_plus(state_before.amplitudes, settings_[rank_e], rank_e)
+        assert abs(p_repeat - 1.0) <= 26 * U if plus else p_repeat <= 10 * U * U
+    p_l = scalar_p_plus(run.state_trace[k - 1].amplitudes, settings_[rank_l], rank_l)
+    c = 34 if state.amplitudes.imag.any() else 30
+    assert abs(p_l - q) <= (16.4 / math.sqrt(p) + 16.3 * (k - 1) + c) * U

@@ -11,7 +11,10 @@ default) and reports how long each stage of the kernel took, per battery:
   order            frame times and each run's first flashes in processing
                    order
   decision draws   the channel (or hidden-variable) draws
-  collapse         the collapse (or local_hv's channel rule), with its setup
+  closed form      the epsilon = 0 first channels: per-request probability
+                   tables, their gather by row and the band checks
+  collapse         the runs replayed through the exact collapse (or
+                   local_hv's channel rule), with its setup
   tally            counting each block's cells per request
   other            the rest of the battery: request plans, blocks and
                    seeds, verdicts, chi-square
@@ -19,17 +22,20 @@ default) and reports how long each stage of the kernel took, per battery:
 Below the table it gives the collapse's work per battery: its steps,
 summed over every _collapse call, and its row-steps, the live rows summed
 over those steps, so that a change to the collapse shows its element
-work beside its milliseconds.  Then, per draw stage, the uniforms the
-streams computed (the states given to randomness._next_double) against
-those they returned (the lengths asked of PCG64Streams.draw): a draw
-computes whole batches, so the first may exceed the second.
+work beside its milliseconds; and the conclusive runs the closed form
+replayed through the collapse, against all it was given.  Then, per draw
+stage, the uniforms the streams computed (the states given to
+randomness._next_double) against those they returned (the lengths asked
+of PCG64Streams.draw): a draw computes whole batches, so the first may
+exceed the second.
 
 Each stage is timed by wrapping the flashlab functions that make it up
 and counting only their own time, not that of a wrapped stage they call.
 The wrappers add a few microseconds per call, so the total runs a little
 above an untimed battery.  One warm-up battery (which imports scipy) is
 not counted; the table gives the median over ``--passes`` batteries.
-The tool fails if a function it wraps is gone or was never called.
+The tool fails if a function it wraps is gone, or was never called,
+except the replay's: a battery may leave the collapse no run.
 
 Usage (standard library, flashlab and perfbench's size table only):
 
@@ -57,7 +63,9 @@ from flashlab.randomness import PCG64Streams  # noqa: E402
 from perfbench.workloads import SIZES  # noqa: E402
 
 STAGES = ("streams", "pattern draws", "pattern layout", "order", "decision draws",
-          "collapse", "tally", "other")
+          "closed form", "collapse", "tally", "other")
+# the replay's functions, which a battery need not call
+REPLAY = tuple(f"{models.__name__}.{name}" for name in ("_collapse_runs", "_collapse"))
 
 
 class StageClock:
@@ -111,8 +119,10 @@ def instrument(clock: StageClock) -> None:
     clock.wrap(models._Patterns, "__init__", "pattern layout")
     clock.wrap(models._Patterns, "first_flashes", "order")
     clock.wrap(models, "_frame_times", "order")
+    clock.wrap(models._Patterns, "first_channels", "closed form")
+    clock.wrap(models, "_closed_form", "closed form")
     clock.wrap(models._Patterns, "hidden_variables", "collapse")
-    clock.wrap(models._Patterns, "decisions", "collapse")
+    clock.wrap(models, "_collapse_runs", "collapse")
     clock.wrap(models, "_collapse", "collapse")
     clock.wrap(models, "_lhv_plus", "collapse")
     clock.wrap(models._Tally, "add", "tally")
@@ -120,15 +130,27 @@ def instrument(clock: StageClock) -> None:
 
 def count_collapse_work(work: dict) -> None:
     """Rebind models._collapse to add each call's steps and row-steps to
-    ``work``."""
-    collapse = models._collapse
+    ``work``, and _Patterns.first_channels and models._collapse_runs to
+    add the conclusive runs each is given."""
+    collapse, first_channels, collapse_runs = (
+        models._collapse, models._Patterns.first_channels, models._collapse_runs)
 
     def counted(params, trig, side_a, draws, live):
         work["steps"] += len(live)
         work["row-steps"] += sum(live)
         return collapse(params, trig, side_a, draws, live)
 
+    def counted_runs(self, cos, sin, first_a, first_b):
+        work["runs"] += int(self.conclusive.sum())
+        return first_channels(self, cos, sin, first_a, first_b)
+
+    def counted_replays(params, cos, sin, side_a, steps, draws):
+        work["replayed"] += steps.size
+        return collapse_runs(params, cos, sin, side_a, steps, draws)
+
     models._collapse = counted
+    models._Patterns.first_channels = counted_runs
+    models._collapse_runs = counted_replays
 
 
 def count_draw_values(clock: StageClock, values: dict) -> None:
@@ -167,7 +189,7 @@ def main(argv=None) -> int:
     config = ClassifyConfig(master_seed=1, **SIZES[args.size]["classify"])
 
     battery(config)  # warm-up: scipy import, Poisson tables, jump tables
-    work = defaultdict(int)  # collapse steps and row-steps of one battery
+    work = defaultdict(int)  # collapse steps and row-steps, and runs, of one battery
     count_collapse_work(work)
     clock = StageClock()
     values = defaultdict(int)  # (draw stage, computed or returned): values in one battery
@@ -186,7 +208,7 @@ def main(argv=None) -> int:
             per_pass[stage].append(clock.seconds[stage])
         per_pass["total"].append(total)
 
-    idle = [key for key, calls in clock.calls.items() if not calls]
+    idle = [key for key, calls in clock.calls.items() if not calls and key not in REPLAY]
     if idle:  # a stage would read 0 because the kernel no longer calls it
         print(f"error: not called in a battery: {', '.join(idle)}", file=sys.stderr)
         return 1
@@ -198,7 +220,8 @@ def main(argv=None) -> int:
         ms = 1e3 * statistics.median(per_pass[stage])
         print(f"{stage:<16}{ms:9.2f}{ms / (1e3 * total):8.1%}")
     print(f"collapse work per battery: {work['steps']:,} steps, "
-          f"{work['row-steps']:,} row-steps")
+          f"{work['row-steps']:,} row-steps; runs replayed: {work['replayed']:,} "
+          f"of {work['runs']:,}")
     print("draw values per battery (computed / returned):")
     for stage in ("pattern draws", "decision draws"):
         computed, returned = values[stage, "computed"], values[stage, "returned"]
