@@ -340,10 +340,15 @@ def _max_draws(params: ModelParams) -> int:
     where both totals are 8, so 2 + 3 (len(table A) + len(table B))
     bounds either model.
     """
-    n_max = sum(
+    return 2 + 3 * _flash_cells(params)
+
+
+def _flash_cells(params: ModelParams) -> int:
+    """The lengths of the two regions' Poisson tables, summed: the flash
+    columns a kernel row can need, as no count exceeds its table's length."""
+    return sum(
         len(_poisson_cdf_table(params.flash_rate * (r.t_max - r.t_min))) for r in params.regions
     )
-    return 2 + 3 * n_max
 
 
 def _coerce_pair(settings) -> SettingPair:
@@ -421,24 +426,33 @@ def ensembles(model, requests, params: ModelParams | None = None) -> list[tuple[
         index = [i for i, r in enumerate(requests) if len(r.arms) == arms]
         group = [requests[i] for i in index]
         tally = _Tally(group)
-        for _, req, rows, seeds in _blocks(model, group):
+        for _, req, rows, seeds in _blocks(model, group, params):
             tally.add(req, _kernel_block(model, rows, params, seeds))
         for i, result in zip(index, tally.results()):
             results[i] = result
     return results
 
 
-def _blocks(model: ModelId, requests):
+def _blocks(model: ModelId, requests, params: ModelParams, every_flash=False):
     """The runs of requests with one number of arms, stacked in request
-    order and cut into blocks of _KERNEL_BLOCK rows: yields each block's
-    first row, each row's request index, the rows' _Stack and seeds."""
+    order and cut into blocks: yields each block's first row, each row's
+    request index, the rows' _Stack and seeds.
+
+    A block has _BLOCK_CELLS // cells rows, with cells a row's flash
+    columns (_flash_cells), doubled if the sweep reads positions (the flash
+    path, or any run processing at a nonzero sinh) and doubled again on the
+    flash path (``every_flash``), and at most _BLOCK_ROWS rows, so that the
+    row count follows from ``params`` and the requests alone.
+    """
     stack = _stack(model, requests)
+    cells = _flash_cells(params) * (4 if every_flash else 2 if stack.sinh.any() else 1)
+    size = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // cells))
     sizes = [r.n for r in requests]
     ends = np.cumsum(sizes)
     begins = ends - sizes  # the runs of request r are rows begins[r] .. ends[r] - 1
     masters = np.array([r.master_seed % (1 << 64) for r in requests], dtype=np.uint64)
-    for start in range(0, int(ends[-1]), _KERNEL_BLOCK):
-        rows = np.arange(start, min(int(ends[-1]), start + _KERNEL_BLOCK))
+    for start in range(0, int(ends[-1]), size):
+        rows = np.arange(start, min(int(ends[-1]), start + size))
         req = np.searchsorted(ends, rows, side="right")
         yield start, req, stack.take(req), _mix_seed_rows(masters[req], rows - begins[req])
 
@@ -509,12 +523,21 @@ class _Tally:
 # parts the scalar arithmetic keeps at +-0 and adds only as +0 squares;
 # real and imaginary parts for any other state.
 
-# Rows (runs) per kernel block, on the counts and the flash path.  Peak
-# memory grows with it: a benchmark-size classify battery (7,750 runs per
-# model) adds about 5.5 MB to the peak RSS over import at 2,048 rows, and
-# about twice that at 4,096; a benchmark-size run --csv (5,000 runs, about
-# 50,000 flashes) peaks about 7 MB higher at 2,048 rows than at 512.
-_KERNEL_BLOCK = 2048
+# Flash cells per kernel block (_blocks).  A block's arrays (patterns,
+# keys, orders, decisions, the collapse's masks, the CSV's byte table) are
+# rows x flash columns wide, so a budget of cells bounds a block's memory
+# at every flash rate, while a block's fixed cost of about 0.9 ms favours
+# few, full blocks.  At the default parameters (72 flash cells per row)
+# it gives 8,192-row blocks to lab-frame count sweeps, 4,096 to count
+# sweeps that read positions and 2,048 to the flash path; at flash rate
+# 700 (1,880 cells per row) a flash block has 78 rows.  Each row also
+# holds state no flash cell counts (its seed, stream state and request
+# values), so below the default rate, where a row has fewer cells, blocks
+# stay at _BLOCK_ROWS rows: at flash rate 0.02 (16 cells per row) they
+# would otherwise have up to 36,864, and a default-size rgrwf classify
+# peaked at 53 MB instead of 40.
+_BLOCK_CELLS = 8192 * 72
+_BLOCK_ROWS = 8192
 
 
 class _Patterns:
@@ -961,7 +984,8 @@ class FlashEnsemble:
     def __iter__(self):
         requests = [EnsembleRequest((self.pair,), self.frame, self.n, self.master_seed)]
         tally = _Tally(requests)
-        for start, req, rows, seeds in _blocks(self.model, requests):
+        for start, req, rows, seeds in _blocks(self.model, requests, self.params,
+                                               every_flash=True):
             block = _flash_block(self.model, rows, self.frame, self.params, seeds, start)
             tally.add(req, block.cells[None])
             ((self.joint, self.inconclusive),) = tally.results()

@@ -243,15 +243,30 @@ def _words128(values) -> tuple:
     return hi, lo, lo & _M32, lo >> _U64(32)
 
 
-# A draw computes its values _BATCH steps at a time, over the streams that
-# still need values: value j of a batch comes from the state
+# A draw computes its values a batch of steps at a time, over the streams
+# that still need values: value j of a batch comes from the state
 # mult_j * s + incr_j * inc, with mult_j and incr_j from _jump_table, so a
 # batch needs no step-by-step recurrence.  incr_j * inc does not depend on
 # the state, so each stream computes it once, at construction.  A row's
 # last batch may compute a few values past its length; its cursor still
-# stops at the length.  Every block has the one width: a wider batch for
-# fewer streams computes more such values and gains no time.
+# stops at the length.  A batch costs about 30 numpy calls whatever its
+# size, so its width follows the number of streams (_batch_width): _BATCH
+# steps for 512 streams or more, as in every kernel block at the default
+# flash rate, where a wider batch computes more values past the lengths
+# and gains no time; twice that each time the streams halve, up to
+# _MAX_BATCH, for the blocks of a few dozen rows of several hundred values
+# each that high flash rates give.
 _BATCH = 8
+_MAX_BATCH = 128
+_BATCH_VALUES = 4096  # a batch is widened while it covers fewer values than this
+
+
+def _batch_width(streams: int) -> int:
+    """The steps per batch of a draw over ``streams`` streams."""
+    batch = _BATCH
+    while batch < _MAX_BATCH and batch * streams < _BATCH_VALUES:
+        batch *= 2
+    return batch
 
 
 @functools.cache
@@ -277,7 +292,7 @@ class PCG64Streams:
     by exactly ``lengths[i]``.
     """
 
-    __slots__ = ("_hi", "_lo", "_inc", "_mults", "_incs")
+    __slots__ = ("_hi", "_lo", "_inc", "_mults", "_incs", "_batch")
 
     def __init__(self, seeds: np.ndarray):
         seeds = np.asarray(seeds, dtype=_U64)
@@ -290,7 +305,8 @@ class PCG64Streams:
         )
         # mult_j for j = 1..batch as columns, and incr_j * inc of each
         # stream, (batch, streams)
-        mults, incrs = (tuple(w[1:, None] for w in words) for words in _jump_table(_BATCH + 1))
+        self._batch = batch = _batch_width(seeds.size)
+        mults, incrs = (tuple(w[1:, None] for w in words) for words in _jump_table(batch + 1))
         self._mults, self._incs = mults, _mul128(*inc, incrs)
         state = _add128(inc, (state_hi, state_lo))
         self._hi, self._lo = _add128(_mul128(*state, tuple(w[0] for w in mults)), inc)
@@ -309,11 +325,11 @@ class PCG64Streams:
         length holds 0 or a value the stream has not yet reached."""
         lengths = np.asarray(lengths, dtype=np.intp)
         out = np.zeros((lengths.size, int(lengths.max(initial=0))))
-        for start in range(0, out.shape[1], _BATCH):
+        for start in range(0, out.shape[1], self._batch):
             # the first batch takes every stream, as views rather than
             # copies; a stream that needs none is left where it is
             rows = np.flatnonzero(lengths > start) if start else slice(None)
-            k = min(_BATCH, out.shape[1] - start)
+            k = min(self._batch, out.shape[1] - start)
             hi, lo = self._states(rows, k)
             out[rows, start : start + k] = _next_double(hi, lo).T
             taken = np.minimum(lengths[rows] - start, k)

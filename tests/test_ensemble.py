@@ -19,12 +19,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flashlab import models
+from flashlab import models, randomness
 from flashlab.classify import classify
 from flashlab.cli import main
 from flashlab.minkowski import Frame, Region, boost_time, order_flip_rapidity
 from flashlab.models import (
-    _KERNEL_BLOCK,
     _RUNNERS,
     OUTCOME_CELLS,
     InconclusiveRunError,
@@ -34,6 +33,7 @@ from flashlab.models import (
     FlashEnsemble,
     ModelParams,
     _blocks,
+    _coerce_pair,
     _kernel_block,
     _poisson_cdf_table,
     _poisson_inverse,
@@ -64,6 +64,24 @@ def scalar_cells(model, pairs, frame, params, seeds) -> np.ndarray:
                 continue
             out[arm, i] = OUTCOME_CELLS.index((run.outcome.alpha, run.outcome.beta))
     return out
+
+
+# A flash-cell budget a quarter of models._BLOCK_CELLS, which the tests that
+# cross block boundaries set (small_blocks): at the default parameters it
+# cuts a lab-frame count sweep into blocks of 2,048 rows, a count sweep that
+# reads positions into 1,024 and a flash sweep into 512.
+SMALL_BLOCK_CELLS = 2048 * 72
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(models, "_BLOCK_CELLS", SMALL_BLOCK_CELLS)
+
+
+def block_count(model, requests, params, every_flash=False) -> int:
+    """The kernel blocks of one sweep over ``requests``."""
+    requests = [r._replace(arms=[_coerce_pair(pair) for pair in r.arms]) for r in requests]
+    return sum(1 for _ in _blocks(model, requests, params, every_flash))
 
 
 def assert_run_for_run(model, pairs, frame, params, n, master_seed):
@@ -110,10 +128,10 @@ def test_pcg64_streams_match_numpy():
     np.testing.assert_array_equal(got, reference(seeds, 6))
 
 
-def test_pcg64_cursor_draws_and_skips_match_numpy():
-    # each stream moves by exactly its own length, drawn or skipped; lengths
-    # of 0, on either side of one and two batch widths (8 values) and past
-    # 64, and skips past 64 and 1,000 values
+def assert_cursors_match_numpy():
+    """Draws and skips over the 7 edge seeds and over 1,000 streams, each
+    stream checked against numpy's own generator."""
+
     def check(seeds, steps):
         streams = PCG64Streams(np.array(seeds, dtype=np.uint64))
         numpy_streams = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -149,6 +167,24 @@ def test_pcg64_cursor_draws_and_skips_match_numpy():
     steps.append(("draw", rng.integers(0, 3, 1000).tolist()))
     steps.append(("draw", np.resize([7, 8, 9, 15, 16, 17], 1000).tolist()))
     check([mix_seed(77, i) for i in range(1000)], steps)
+
+
+def test_pcg64_cursor_draws_and_skips_match_numpy():
+    # each stream moves by exactly its own length, drawn or skipped; lengths
+    # of 0, on either side of one and two batch widths and past 64, and
+    # skips past 64 and 1,000 values.  A batch widens as the streams thin
+    # out: 128 steps for the 7 edge seeds, 8 for 1,000 streams
+    assert (randomness._batch_width(7), randomness._batch_width(1000)) == (128, 8)
+    assert_cursors_match_numpy()
+
+
+@pytest.mark.parametrize("batch_values, widths", [(0, (8, 8)), (32_000, (128, 32))])
+def test_pcg64_cursors_match_numpy_at_other_batch_widths(monkeypatch, batch_values, widths):
+    # the same draws and skips with 8-step batches for every stream count,
+    # and with 32-step batches for 1,000 streams
+    monkeypatch.setattr(randomness, "_BATCH_VALUES", batch_values)
+    assert (randomness._batch_width(7), randomness._batch_width(1000)) == widths
+    assert_cursors_match_numpy()
 
 
 def test_seed_sequence_words_match_numpy():
@@ -241,13 +277,14 @@ def test_kernel_matches_scalar_complex_state_and_rates(model, rate):
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-def test_ensemble_counts_across_blocks(model):
-    # 5000 runs span three kernel blocks; the joint table must equal the
-    # scalar runs tallied one by one
+def test_ensemble_counts_across_blocks(small_blocks, model):
+    # 5000 runs span two kernel blocks, or three where the sweep reads
+    # positions; the joint table must equal the scalar runs tallied one by one
     pairs = [SettingPair(0.0, 1.0), SettingPair(0.0, 2.0)]
     params = ModelParams(flash_rate=1.0)
-    ((joint, inconclusive),) = ensembles(model, [EnsembleRequest(pairs, Frame(0.6), 5000, 77)],
-                                         params)
+    requests = [EnsembleRequest(pairs, Frame(0.6), 5000, 77)]
+    assert block_count(model, requests, params) >= 2
+    ((joint, inconclusive),) = ensembles(model, requests, params)
     want = scalar_cells(model, pairs, Frame(0.6), params, run_seeds(77, 5000).tolist())
     ok = want[0] >= 0
     expected = np.zeros((4, 4), dtype=np.int64)
@@ -257,7 +294,7 @@ def test_ensemble_counts_across_blocks(model):
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(model):
+def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(small_blocks, model):
     # one sweep whose first block holds lab-frame runs beside moving-frame
     # runs, so that the lab-frame runs read their positions too, as the
     # block's runs do not all skip them (local_hv skips both patterns
@@ -272,8 +309,9 @@ def test_kernel_reads_and_skips_match_scalar_in_mixed_blocks(model):
         EnsembleRequest(arms, Frame(0.0), 300, 7),
         EnsembleRequest(arms, Frame(-0.02), 250, 11),
     ]
-    assert sum(r.n for r in requests) > _KERNEL_BLOCK
-    got = [_kernel_block(model, rows, params, seeds) for _, _, rows, seeds in _blocks(model, requests)]
+    got = [_kernel_block(model, rows, params, seeds)
+           for _, _, rows, seeds in _blocks(model, requests, params)]
+    assert len(got) >= 2
     got = np.hstack(got)
     want = np.hstack([
         scalar_cells(model, arms, r.frame, params, run_seeds(r.master_seed, r.n).tolist())
@@ -303,7 +341,7 @@ def test_stacked_arms_match_one_arm_blocks(model, chi, epsilon):
     flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
     frame = flip if chi == "flip" else Frame(chi)
     arms = [SettingPair(0.4, 1.3), SettingPair(2.0, 2.9)]
-    seeds = run_seeds(29, _KERNEL_BLOCK)
+    seeds = run_seeds(29, 2048)
 
     def cells(pairs):
         request = EnsembleRequest(pairs, frame, seeds.size, 29)
@@ -360,7 +398,7 @@ def test_runner_table_binds_each_model(model, monkeypatch):
 
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
-def test_batch_matches_separate_calls(model, epsilon):
+def test_batch_matches_separate_calls(small_blocks, model, epsilon):
     # one and two arms, the order-flip frame among others, n = 1 and n on
     # both sides of a block boundary: every request of the stacked batch
     # gets exactly the counts of its own ensembles call
@@ -368,13 +406,15 @@ def test_batch_matches_separate_calls(model, epsilon):
     flip = order_flip_rapidity(params.regions[0].center(), params.regions[1].center())
     requests = [
         EnsembleRequest([(0.0, 1.0)], Frame(0.0), 1, 3),
-        EnsembleRequest([(0.4, 1.3), (0.4, 2.9)], flip, _KERNEL_BLOCK + 37, 5),
+        EnsembleRequest([(0.4, 1.3), (0.4, 2.9)], flip, 2085, 5),
         EnsembleRequest([(2.2, 0.9)], Frame(-0.7), 300, 7),
         EnsembleRequest([(0.0, 0.0), (math.pi / 2, 0.0)], Frame(1.0), 1, 11),
-        EnsembleRequest([(1.0, 5.0)], flip, _KERNEL_BLOCK - 5, 13),
+        EnsembleRequest([(1.0, 5.0)], flip, 2043, 13),
         EnsembleRequest([(0.0, math.pi / 2), (0.0, 0.0)], Frame(-1.0), 700, 17),
         EnsembleRequest([(3.0, 0.5)], Frame(2.0), 450, 19),
     ]
+    for arms in (1, 2):
+        assert block_count(model, [r for r in requests if len(r.arms) == arms], params) >= 2
     batch = ensembles(model, requests, params)
     assert len(batch) == len(requests)
     for request, (joint, inconclusive) in zip(requests, batch):
@@ -383,6 +423,35 @@ def test_batch_matches_separate_calls(model, epsilon):
         assert joint.shape == (4,) * len(request.arms)
         assert inconclusive == want_inconclusive
         assert int(joint.sum()) + inconclusive == request.n
+
+
+@pytest.mark.parametrize("rate, lab, moving, flashes", [
+    (0.02, 8192, 8192, 8192),
+    (5.0, 8192, 4096, 2048),
+    (100.0, 1481, 740, 370),
+    (700.0, 313, 156, 78),
+])
+def test_block_rows_follow_the_flash_cells(rate, lab, moving, flashes):
+    # a block's rows come from the Poisson tables' lengths under params (16
+    # flash cells per row at rate 0.02, 72 at 5, 398 at 100, 1,880 at 700),
+    # halved where the sweep reads positions and halved again on the flash
+    # path, up to 8,192 rows, so that a block's memory stays bounded at
+    # every accepted rate
+    params = ModelParams(flash_rate=rate)
+
+    def rows(model, frames, every_flash=False):
+        requests = [EnsembleRequest([SettingPair(0.4, 1.3)], Frame(chi), 10_000, 3)
+                    for chi in frames]
+        return [req.size for _, req, _, _ in _blocks(model, requests, params, every_flash)]
+
+    for model in ModelId:
+        assert rows(model, [0.0])[0] == lab
+        assert rows(model, [0.0], every_flash=True)[0] == flashes
+    # one moving frame makes the whole sweep read positions, except under
+    # preferred_frame, which processes in the lab frame
+    assert rows(ModelId.RGRWF, [0.0, 0.5])[:2] == [moving, moving]
+    assert rows(ModelId.LOCAL_HV, [0.5])[0] == moving
+    assert rows(ModelId.PREFERRED_FRAME, [0.0, 0.5])[0] == lab
 
 
 @st.composite
@@ -473,8 +542,9 @@ def test_block_with_no_conclusive_run_keeps_its_dtypes(tmp_path, model):
 
 # --- flash CSV ---------------------------------------------------------------
 
-# spans two flash blocks and is not a multiple of the block size
-CSV_RUNS = _KERNEL_BLOCK + 113
+# a prime, so never a multiple of a block's rows; under small_blocks it spans
+# five flash blocks at the default parameters
+CSV_RUNS = 2161
 
 
 def scalar_flash_csv(model, pair, frame, params, n, master_seed) -> bytes:
@@ -544,6 +614,8 @@ def assert_csv_matches_scalar(tmp_path, model, pair, chi, params, n, master_seed
             f"{model.value}: CSV differs from line {first} "
             f"({len(got_lines)} lines, scalar {len(want_lines)})"
         )
+    request = EnsembleRequest([pair], Frame(chi), n, master_seed)
+    assert block_count(model, [request], params, every_flash=True) >= 2
     payload = json.loads((tmp_path / f"run_{model.value}.json").read_text())
     counts, inconclusive = first_flash_tally(model, got, n)
     assert payload["counts"] == counts
@@ -553,14 +625,15 @@ def assert_csv_matches_scalar(tmp_path, model, pair, chi, params, n, master_seed
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("chi", [-0.7, 0.0, 1.0])
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
-def test_flash_csv_matches_scalar(tmp_path, capsys, model, chi, epsilon):
+def test_flash_csv_matches_scalar(small_blocks, tmp_path, capsys, model, chi, epsilon):
     params = ModelParams(epsilon=epsilon)
     assert_csv_matches_scalar(tmp_path, model, (0.4, 1.3), chi, params, CSV_RUNS, 29)
 
 
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("rate", [0.7, 20.0])
-def test_flash_csv_matches_scalar_complex_state_and_rates(tmp_path, capsys, model, rate):
+def test_flash_csv_matches_scalar_complex_state_and_rates(small_blocks, tmp_path, capsys, model,
+                                                          rate):
     params = ModelParams(
         state=random_pure_state(np.random.default_rng(11)), flash_rate=rate, epsilon=0.02
     )
@@ -627,9 +700,29 @@ def test_kernel_matches_scalar_either_side_of_one_plane(model, state):
 
 @pytest.mark.parametrize("model", [ModelId.RGRWF, ModelId.PREFERRED_FRAME])
 @pytest.mark.parametrize("state", list(PLANE_STATES))
-def test_flash_csv_matches_scalar_either_side_of_one_plane(tmp_path, capsys, model, state):
+def test_flash_csv_matches_scalar_either_side_of_one_plane(small_blocks, tmp_path, capsys, model,
+                                                           state):
     params = ModelParams(state=PLANE_STATES[state], epsilon=0.02)
     assert_csv_matches_scalar(tmp_path, model, (2.2, 0.9), -0.3, params, CSV_RUNS, 41)
+
+
+def test_flash_csv_at_rate_700_is_the_same_in_one_block(tmp_path, monkeypatch):
+    # 200 runs at flash rate 700 take three 78-row flash blocks; with a
+    # budget that holds them all in one block, the CSV is byte for byte the
+    # same
+    def csv_bytes(name):
+        ensemble = FlashEnsemble(ModelId.RGRWF, (0.4, 1.3), Frame(1.0),
+                                 ModelParams(flash_rate=700.0), n=200, master_seed=29)
+        blocks = list(ensemble)
+        write_flash_csv(tmp_path / name, blocks)
+        return [block.cells.size for block in blocks], (tmp_path / name).read_bytes()
+
+    rows, blocked = csv_bytes("blocks.csv")
+    assert rows == [78, 78, 44]
+    monkeypatch.setattr(models, "_BLOCK_CELLS", 1 << 62)
+    rows, single = csv_bytes("single.csv")
+    assert rows == [200]
+    assert single == blocked
 
 
 @pytest.mark.parametrize("make", [

@@ -27,7 +27,9 @@ replayed through the collapse, against all it was given.  Then, per draw
 stage, the uniforms the streams computed (the states given to
 randomness._next_double) against those they returned (the lengths asked
 of PCG64Streams.draw): a draw computes whole batches, so the first may
-exceed the second.
+exceed the second.  Last, per sweep of the battery (a model and a number
+of settings arms, in the order classify runs them), its kernel blocks and
+their rows, so that a change in block count shows beside the stage times.
 
 Each stage is timed by wrapping the flashlab functions that make it up
 and counting only their own time, not that of a wrapped stage they call.
@@ -174,6 +176,21 @@ def count_draw_values(clock: StageClock, values: dict) -> None:
     PCG64Streams.draw = returned
 
 
+def count_blocks(sweeps: list) -> None:
+    """Rebind models._blocks to append each sweep's (model, arms, rows of
+    each block) to ``sweeps``."""
+    blocks = models._blocks
+
+    def counted(model, requests, *args, **kwargs):
+        rows = []
+        sweeps.append((model.value, len(requests[0].arms), rows))
+        for block in blocks(model, requests, *args, **kwargs):
+            rows.append(block[1].size)
+            yield block
+
+    models._blocks = counted
+
+
 def battery(config: ClassifyConfig) -> list:
     return [classify(model, config=config) for model in models.ModelId]
 
@@ -194,12 +211,15 @@ def main(argv=None) -> int:
     clock = StageClock()
     values = defaultdict(int)  # (draw stage, computed or returned): values in one battery
     count_draw_values(clock, values)
+    sweeps = []  # (model, arms, rows of each block) of each sweep in one battery
+    count_blocks(sweeps)
     instrument(clock)
     per_pass = defaultdict(list)
     for _ in range(args.passes):
         clock.seconds.clear()
         work.clear()
         values.clear()
+        sweeps.clear()
         start = time.perf_counter()
         battery(config)
         total = time.perf_counter() - start
@@ -226,6 +246,10 @@ def main(argv=None) -> int:
     for stage in ("pattern draws", "decision draws"):
         computed, returned = values[stage, "computed"], values[stage, "returned"]
         print(f"  {stage:<16}{computed:,} / {returned:,} ({computed / returned:.2f}x)")
+    print(f"kernel blocks per battery: {sum(len(rows) for *_, rows in sweeps)}")
+    for model, arms, rows in sweeps:
+        print(f"  {model:<16}{arms} arm{'s' * (arms > 1)}: {len(rows)} "
+              f"block{'s' * (len(rows) > 1)}, {' + '.join(f'{r:,}' for r in rows)} rows")
     return 0
 
 
